@@ -29,8 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.attention_grads import (
+    attention_preactivation_gradients_batched,
     attention_seeded_gradients,
-    attention_seeded_gradients_batched,
+    contract_block_input,
+    probe_chunks,
 )
 from repro.nn.attention import AttentionCapture, MultiHeadAttention
 from repro.nn.transformer import LlamaModel
@@ -41,6 +43,7 @@ __all__ = [
     "CalibrationCaptureStream",
     "SharedGramCache",
     "PROBE_MODES",
+    "add_closed_forms",
     "capture_attention",
     "attention_hessians",
     "attention_hessians_from_captures",
@@ -49,8 +52,8 @@ __all__ = [
 ]
 
 #: Probe-loop strategies for the q/k Gauss-Newton estimator.  ``batched``
-#: draws every Rademacher seed at once and folds the probe and head loops
-#: into stacked einsums; ``reference`` is the original per-probe Python
+#: draws every Rademacher seed at once and runs the probe and head loops
+#: as stacked matmuls; ``reference`` is the original per-probe Python
 #: loop.  Both consume the *same* rng element stream (a single
 #: ``(p, b, s, D)`` draw fills row-major, so probe ``p``'s slice equals the
 #: ``p``-th sequential draw) and accumulate per-probe terms in the same
@@ -172,6 +175,37 @@ def capture_attention(
     raise AssertionError("unreachable")
 
 
+def add_closed_forms(
+    capture: AttentionCapture,
+    head_gain: np.ndarray,
+    h_v: list[np.ndarray],
+    h_o: np.ndarray,
+) -> None:
+    """Add one batch's exact o_proj and per-head v_proj Hessian sums.
+
+    ``h_o += D · C^T C`` and ``h_v[h] += g_h · A_h^T A_h`` with
+    ``A_h = P_h X``, the effective per-head input of W_h^V; one stacked
+    ``(s, s) @ (s, D)`` matmul per (head, sequence) forms every ``A_h``.
+    Both Hessian engines share these closed forms.
+
+    Shapes:
+        capture: any
+        head_gain: (h,) f64
+        h_v: any
+        h_o: (D, D) f64
+    """
+    b, s, d_model = capture.x.shape
+    heads_flat = capture.heads.reshape(b * s, d_model)
+    h_o += d_model * (heads_flat.T @ heads_flat)
+    # (h, b, s, D): head-major, so each a[h] flattens without a copy.
+    a = np.matmul(capture.probs.transpose(1, 0, 2, 3), capture.x)
+    for h, gain in enumerate(head_gain):
+        a_flat = a[h].reshape(b * s, d_model)
+        # Accumulation is per-block-local: parallel fan-out is per block,
+        # so one worker owns this accumulator end to end.
+        h_v[h] += gain * (a_flat.T @ a_flat)  # lint: disable=wp-order-dependent-reduction
+
+
 class AttentionHessianAccumulator:
     """Streaming accumulator for one block's four projection Hessians.
 
@@ -180,8 +214,8 @@ class AttentionHessianAccumulator:
     normalisation.  Both probe modes (see :data:`PROBE_MODES`) produce
     bitwise-identical sums: the batched path draws all probes in one rng
     call (same element stream as sequential draws), computes every probe's
-    seeded gradient through stacked einsums whose per-probe slices match
-    the unbatched chain exactly, and adds the per-probe outer products in
+    q/k gradient through stacked matmuls whose per-probe slices run the
+    same GEMMs as the unbatched chain, and adds the per-probe outer products in
     the original probe-ascending order per head (the per-head sequences
     are independent, so hoisting the head loop is order-preserving).
     """
@@ -228,37 +262,35 @@ class AttentionHessianAccumulator:
         d_head = attn.d_head
         b, s, _ = capture.x.shape
         self.n_tokens += b * s
-
-        # Closed forms: o_proj (exact) and v_proj (per head).
-        heads_flat = capture.heads.reshape(b * s, d_model)
-        self.h_o += d_model * (heads_flat.T @ heads_flat)
-        # A_h = P_h X: effective per-head input of W_h^V.
-        a = np.einsum("bhst,btD->bhsD", capture.probs, capture.x)
-        for h in range(n_heads):
-            a_flat = a[:, h].reshape(b * s, d_model)
-            # Accumulation is per-block-local: parallel fan-out is per
-            # block, so one worker owns this accumulator end to end.
-            self.h_v[h] += self.head_gain[h] * (a_flat.T @ a_flat)  # lint: disable=wp-order-dependent-reduction
+        add_closed_forms(capture, self.head_gain, self.h_v, self.h_o)
 
         # Probed Gauss-Newton for q/k (softmax nonlinearity).
         if self.probe_mode == "batched":
             probes = self.rng.choice(
                 [-1.0, 1.0], size=(self.n_probes, b, s, d_model)
             )
-            grads = attention_seeded_gradients_batched(attn, capture, probes)
-            for h in range(n_heads):
-                cols = slice(h * d_head, (h + 1) * d_head)
-                gq = grads.q[:, :, cols]  # (p, D, d)
-                gk = grads.k[:, :, cols]
-                outer_q = (
-                    np.matmul(gq, gq.transpose(0, 2, 1)) / self.n_probes
+            # Only q/k are estimated here; they do not depend on the v/o
+            # gradients, so those are never formed.  Chunks run in probe
+            # order, so each head still adds its outer products ascending.
+            for chunk in probe_chunks(capture, self.n_probes):
+                gq_pre, gk_pre = attention_preactivation_gradients_batched(
+                    attn, capture, probes[chunk]
                 )
-                outer_k = (
-                    np.matmul(gk, gk.transpose(0, 2, 1)) / self.n_probes
-                )
-                for p in range(self.n_probes):
-                    self.h_q[h] += outer_q[p]  # lint: disable=wp-order-dependent-reduction
-                    self.h_k[h] += outer_k[p]  # lint: disable=wp-order-dependent-reduction
+                grads_q = contract_block_input(capture.x, gq_pre)
+                grads_k = contract_block_input(capture.x, gk_pre)
+                for h in range(n_heads):
+                    cols = slice(h * d_head, (h + 1) * d_head)
+                    gq = grads_q[:, :, cols]  # (chunk, D, d)
+                    gk = grads_k[:, :, cols]
+                    outer_q = (
+                        np.matmul(gq, gq.transpose(0, 2, 1)) / self.n_probes
+                    )
+                    outer_k = (
+                        np.matmul(gk, gk.transpose(0, 2, 1)) / self.n_probes
+                    )
+                    for p in range(outer_q.shape[0]):
+                        self.h_q[h] += outer_q[p]  # lint: disable=wp-order-dependent-reduction
+                        self.h_k[h] += outer_k[p]  # lint: disable=wp-order-dependent-reduction
         else:
             for _ in range(self.n_probes):
                 probe = self.rng.choice([-1.0, 1.0], size=(b, s, d_model))

@@ -2,8 +2,11 @@
 
 The probed Gauss-Newton estimator of :mod:`repro.core.hessian` builds each
 head's ``(D, D)`` q/k Hessian from full seeded-gradient outer products —
-accurate, but the per-head GEMMs dominate calibration time.  Following the
-Kronecker factorization of KronQ (arxiv 2607.07964), the exact per-head
+accurate, but every probe pays a block-input contraction and a ``(D, D)``
+outer product per head.  Both estimators share the softmax-adjoint chain,
+which costs the most, so skipping those two saves only about 15% of the
+estimator's time at ``llama-7b-sim`` scale.  Following the Kronecker
+factorization of KronQ (arxiv 2607.07964), the exact per-head
 matrix
 
     H_h = (2/n) (1/P) Σ_p  X^T ĝ_{p,h} ĝ_{p,h}^T X
@@ -37,8 +40,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.attention_grads import attention_preactivation_gradients_batched
-from repro.core.hessian import SharedGramCache
+from repro.core.attention_grads import (
+    attention_preactivation_gradients_batched,
+    probe_chunks,
+)
+from repro.core.hessian import SharedGramCache, add_closed_forms
 from repro.nn.attention import AttentionCapture, MultiHeadAttention
 
 __all__ = [
@@ -122,6 +128,16 @@ class KronAttentionHessians:
         )
 
 
+def _output_factor(grad_pre: np.ndarray) -> np.ndarray:
+    """Per-head ``Σ_{p,b,s} ĝ^T ĝ`` of ``(p, b, h, s, d)`` gradients.
+
+    One ``(d, p·b·s) @ (p·b·s, d)`` GEMM per head; returns ``(h, d, d)``.
+    """
+    n_heads, d_head = grad_pre.shape[2], grad_pre.shape[4]
+    rows = np.moveaxis(grad_pre, 2, 0).reshape(n_heads, -1, d_head)
+    return np.matmul(rows.transpose(0, 2, 1), rows)
+
+
 class KronHessianAccumulator:
     """Streaming accumulator for one block's Kronecker-factored Hessians.
 
@@ -167,7 +183,6 @@ class KronHessianAccumulator:
         """Accumulate one calibration batch's contribution."""
         attn = self.attn
         d_model = attn.d_model
-        n_heads = attn.n_heads
         b, s, _ = capture.x.shape
         self.n_tokens += b * s
 
@@ -177,24 +192,20 @@ class KronHessianAccumulator:
         self.input_gram += self.gram_cache.gram(capture.x, flat)
 
         # Exact closed forms for o_proj and v_proj, as in the probed path.
-        heads_flat = capture.heads.reshape(b * s, d_model)
-        self.h_o += d_model * (heads_flat.T @ heads_flat)
-        a = np.einsum("bhst,btD->bhsD", capture.probs, capture.x)
-        for h in range(n_heads):
-            a_flat = a[:, h].reshape(b * s, d_model)
-            # Per-block-local accumulation (one worker per block).
-            self.h_v[h] += self.head_gain[h] * (a_flat.T @ a_flat)  # lint: disable=wp-order-dependent-reduction
+        add_closed_forms(capture, self.head_gain, self.h_v, self.h_o)
 
         # Output-side factors B_h from the pre-input probe gradients —
         # the X contraction the Kronecker structure factors away.
         probes = self.rng.choice(
             [-1.0, 1.0], size=(self.n_probes, b, s, d_model)
         )
-        gq_pre, gk_pre = attention_preactivation_gradients_batched(
-            attn, capture, probes
-        )
-        self.b_q += np.einsum("pbhsd,pbhse->hde", gq_pre, gq_pre)
-        self.b_k += np.einsum("pbhsd,pbhse->hde", gk_pre, gk_pre)
+        for chunk in probe_chunks(capture, self.n_probes):
+            gq_pre, gk_pre = attention_preactivation_gradients_batched(
+                attn, capture, probes[chunk]
+            )
+            # Per-block-local accumulation (one worker per block).
+            self.b_q += _output_factor(gq_pre)  # lint: disable=wp-order-dependent-reduction
+            self.b_k += _output_factor(gk_pre)  # lint: disable=wp-order-dependent-reduction
 
     def finalize(self) -> KronAttentionHessians:
         """Per-token-normalised Kronecker Hessians for all batches seen."""

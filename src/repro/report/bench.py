@@ -86,6 +86,28 @@ def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
     return min(timings)
 
 
+def _best_of_pair(
+    first: Callable[[], object],
+    second: Callable[[], object],
+    repeats: int = 3,
+) -> tuple[float, float]:
+    """Minimum wall-clock seconds of each of two functions, called in turn.
+
+    Two best-of-N timings taken one after the other drift apart with the
+    host's speed; alternating the calls exposes both to the same drift, so
+    their ratio holds still when the two sides cost about the same.
+    """
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    timings: tuple[list[float], list[float]] = ([], [])
+    for _ in range(repeats):
+        for fn, bucket in zip((first, second), timings):
+            start = time.perf_counter()
+            fn()
+            bucket.append(time.perf_counter() - start)
+    return min(timings[0]), min(timings[1])
+
+
 def _random_problem(
     d_in: int, d_out: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -572,8 +594,9 @@ def calibration_bench_records(
         and np.array_equal(lg.o, st.o)
         for lg, st in zip(legacy_hessians, streamed_hessians)
     )
-    legacy_seconds = best_of(legacy, repeats)
-    streamed_seconds = best_of(streamed, repeats)
+    legacy_seconds, streamed_seconds = _best_of_pair(
+        legacy, streamed, repeats
+    )
     records = [
         {
             "name": "calibration-capture",
@@ -671,8 +694,9 @@ def calibration_bench_records(
     # (~0.8 relative Frobenius error on q/k for a random model), which is
     # exactly why the binding bound is the end-to-end perplexity delta.
     kron_bounds = {"reconstruction_rel_error": 0.9, "ppl_rel_delta": 0.05}
-    probed_seconds = best_of(probed_estimate, repeats)
-    kron_seconds = best_of(kron_estimate, repeats)
+    probed_seconds, kron_seconds = _best_of_pair(
+        probed_estimate, kron_estimate, repeats
+    )
     records.append(
         {
             "name": "calibration-kron",
@@ -701,8 +725,9 @@ def calibration_bench_records(
 
     loop_value = trace_loop()
     vectorised_value = trace_vectorised()
-    loop_seconds = best_of(trace_loop, repeats)
-    vectorised_seconds = best_of(trace_vectorised, repeats)
+    loop_seconds, vectorised_seconds = _best_of_pair(
+        trace_loop, trace_vectorised, repeats
+    )
     records.append(
         {
             "name": "calibration-trace-hutchinson",

@@ -17,6 +17,7 @@ import pytest
 from repro.report.bench import (
     BENCH_SCHEMA_VERSION,
     BENCH_SUITES,
+    _best_of_pair,
     append_bench_history,
     best_of,
     build_calibration_report,
@@ -373,6 +374,16 @@ class TestSchemaValidation:
         with pytest.raises(ValueError):
             best_of(lambda: None, repeats=0)
         assert best_of(lambda: None, repeats=2) >= 0.0
+
+    def test_best_of_pair_alternates_calls(self):
+        calls = []
+        first, second = _best_of_pair(
+            lambda: calls.append("a"), lambda: calls.append("b"), repeats=3
+        )
+        assert calls == ["a", "b"] * 3
+        assert first >= 0.0 and second >= 0.0
+        with pytest.raises(ValueError):
+            _best_of_pair(lambda: None, lambda: None, repeats=0)
 
 
 class TestHistoryAndTrend:

@@ -10,15 +10,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== repro-lint --whole-program --strict =="
 python -m repro.analysis --whole-program --strict --stats src/repro
 
-echo "== repro-lint effect & concurrency rules (strict, warm cache) =="
-python -m repro.analysis --whole-program --strict --stats \
-    --select 'wp-*' src/repro
-
-echo "== repro-lint integer-range & bit-width rules (strict) =="
-python -m repro.analysis --whole-program --strict --stats \
-    --select 'wp-int-*,wp-lossy-cast,wp-lut-domain,wp-bits-spec-violation' \
-    src/repro
-
 echo "== fault matrix (runtime robustness) =="
 python -m pytest -x -q tests/test_runtime_recovery.py \
     tests/test_runtime_faults.py tests/test_runtime_checkpoint.py \
