@@ -14,8 +14,8 @@ The records are summary-level (serialized on
 :class:`~repro.analysis.project.ModuleSummary`), and the whole-program
 rule ``wp-cache-writable-escape`` flags records that are all three of:
 owned by a cache-like class or attribute (name contains ``cache`` — the
-``KVCache``/``SharedGramCache``/``HessianFactorCache`` convention), backed
-by known array storage (a numpy constructor / matmul reached the
+``PagedKVCache``/``SharedGramCache``/``HessianFactorCache`` convention),
+backed by known array storage (a numpy constructor / matmul reached the
 attribute), and escaping writable.
 """
 

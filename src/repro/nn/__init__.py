@@ -9,7 +9,7 @@ so the same code path serves training (model zoo, LLM-QAT) and inference
 
 from repro.nn.config import LlamaConfig
 from repro.nn.modules import Module, Linear, Embedding, RMSNorm
-from repro.nn.attention import KVCache, MultiHeadAttention, RotaryEmbedding
+from repro.nn.attention import MultiHeadAttention, PagedKVCache, RotaryEmbedding
 from repro.nn.transformer import SwiGLU, TransformerBlock, LlamaModel
 from repro.nn import functional
 from repro.nn.serialize import save_state_dict, load_state_dict
@@ -20,8 +20,8 @@ __all__ = [
     "Linear",
     "Embedding",
     "RMSNorm",
-    "KVCache",
     "MultiHeadAttention",
+    "PagedKVCache",
     "RotaryEmbedding",
     "SwiGLU",
     "TransformerBlock",

@@ -3,32 +3,36 @@
 The projection submodules are named ``q_proj``/``k_proj``/``v_proj``/``o_proj``
 to match the paper's layer naming ("self_attn.k_proj" in Algorithm 1).
 
-Two forward paths exist:
+Three forward paths exist:
 
 * :meth:`MultiHeadAttention.forward` — autograd path (training, QAT, and
   the independent verification of the analytic APTQ derivatives);
 * :meth:`MultiHeadAttention.forward_array` — fast numpy inference path that
   can additionally *capture* every intermediate the APTQ Hessian
   construction needs (Q, K, V, pre-softmax scores N, attention probs P,
-  concatenated head outputs C — cf. paper Eqs. (9)-(15)).
+  concatenated head outputs C — cf. paper Eqs. (9)-(15));
+* :meth:`MultiHeadAttention.forward_cached` — incremental decoding (prefill
+  and decode steps, ragged batches included) over the one KV cache,
+  :class:`PagedKVCache`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd import Tensor, ops
 from repro.nn import functional as F
 from repro.nn.modules import Linear, Module
+from repro.runtime.errors import CacheExhausted
 
 __all__ = [
     "RotaryEmbedding",
     "AttentionCapture",
     "MultiHeadAttention",
-    "KVCache",
+    "PagedKVCache",
 ]
 
 
@@ -170,111 +174,40 @@ class MultiHeadAttention(Module):
         )
 
     # ------------------------------------------------------------------
-    # Incremental decoding with a KV cache
+    # Incremental decoding over the paged KV cache
     # ------------------------------------------------------------------
-    def forward_step(
+    def forward_cached(
         self,
         x: np.ndarray,
-        cache: "KVCache",
-        position: int,
+        cache: "PagedKVCache",
+        layer: int,
+        seq_ids: Sequence[Hashable],
     ) -> np.ndarray:
-        """Attend one new token at ``position`` against the cached keys.
+        """Attend new tokens against each row's cached keys/values.
 
-        ``x`` is (batch, 1, d_model); the cache is appended in place.
-        Equivalent to the last row of :meth:`forward_array` over the full
-        prefix, at O(prefix) instead of O(prefix²) cost.
-        """
-        batch = x.shape[0]
-        cos, sin = self.rope.tables(position + 1)
-        cos_t, sin_t = cos[position], sin[position]
+        ``x`` is ``(batch, seq, d_model)``.  Row ``b`` extends sequence
+        ``seq_ids[b]`` from its committed length at ``layer``, read from
+        ``cache``, and appends its new keys/values there.  Rows may sit at
+        different lengths (a continuous-batching decode step); with
+        ``seq > 1`` each row is masked causally from its own offset (a
+        prefill).
 
-        def split(a: np.ndarray) -> np.ndarray:
-            return a.reshape(batch, 1, self.n_heads, self.d_head).transpose(
-                0, 2, 1, 3
-            )
-
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
-        v = split(self.v_proj.forward_array(x))
-        keys, values = cache.append(k, v)
-        scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(self.d_head)
-        probs = F.softmax(scores, axis=-1)
-        context = probs @ values
-        heads = context.transpose(0, 2, 1, 3).reshape(batch, 1, self.d_model)
-        return self.o_proj.forward_array(heads)
-
-    def forward_step_ragged(
-        self,
-        x: np.ndarray,
-        positions: np.ndarray,
-        append_kv,
-    ) -> np.ndarray:
-        """Attend one new token per row at *per-row* positions (ragged batch).
-
-        Generalizes :meth:`forward_step` to rows of different lengths — the
-        continuous-batching decode step, where each row belongs to a
-        different request.  ``x`` is ``(batch, 1, d_model)``; ``positions``
-        gives row ``b``'s absolute position; ``append_kv(row, k, v)`` stores
-        the row's new key/value ``(1, h, 1, d)`` in that row's cache (a
-        :class:`KVCache` or a paged block table) and returns the full
-        cached ``(keys, values)`` of shape ``(1, h, len, d)``.
-
-        Per row the arithmetic is exactly :meth:`forward_step` on a
-        batch of one: projections, rope, and the output projection are
-        row-independent, and each row's attention runs against its own
-        gathered keys/values with the same shapes a dedicated
-        :class:`KVCache` would serve.  ``tests/test_serve_paged_cache.py``
-        pins bit-identity against serial :meth:`forward_step` decoding.
-        """
-        batch = x.shape[0]
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-        if positions.size != batch:
-            raise ValueError("positions must provide one entry per row")
-        cos, sin = self.rope.tables(int(positions.max()) + 1)
-        # Per-row rope rows, broadcast over heads: (batch, 1, 1, d_head).
-        cos_t = cos[positions][:, None, None, :]
-        sin_t = sin[positions][:, None, None, :]
-
-        def split(a: np.ndarray) -> np.ndarray:
-            return a.reshape(batch, 1, self.n_heads, self.d_head).transpose(
-                0, 2, 1, 3
-            )
-
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
-        v = split(self.v_proj.forward_array(x))
-        heads = np.empty((batch, 1, self.d_model), dtype=x.dtype)
-        for row in range(batch):
-            keys, values = append_kv(row, k[row : row + 1], v[row : row + 1])
-            scores = (
-                q[row : row + 1]
-                @ np.swapaxes(keys, -1, -2)
-                / np.sqrt(self.d_head)
-            )
-            probs = F.softmax(scores, axis=-1)
-            context = probs @ values
-            heads[row] = context.transpose(0, 2, 1, 3).reshape(
-                1, 1, self.d_model
-            )
-        return self.o_proj.forward_array(heads)
-
-    def forward_prefill(self, x: np.ndarray, cache: "KVCache") -> np.ndarray:
-        """Attend ``seq`` new tokens against the cache in one batched pass.
-
-        ``x`` is (batch, seq, d_model); the new tokens occupy positions
-        ``cache.length .. cache.length + seq - 1`` and the cache is appended
-        in place.  On an empty cache this performs the same arithmetic as
-        :meth:`forward_array` (identical rope rows, mask values, and
-        reductions); a single prefill replaces ``seq`` successive
-        :meth:`forward_step` calls with one batched attention, which is why
-        :meth:`~repro.nn.transformer.LlamaModel.generate_cached` prompt
-        processing is O(seq) matmul launches instead of O(seq²).
+        Projections, rope and the output projection are row-independent
+        and each row attends against its own history, so row ``b`` is
+        bit-identical to the same call on a batch of one.  On an empty
+        cache the arithmetic is that of :meth:`forward_array` (identical
+        rope rows, mask values and reductions), at O(prefix) instead of
+        O(prefix²) cost per decoded token.
         """
         batch, seq, _ = x.shape
-        start = cache.length
-        total = start + seq
-        cos, sin = self.rope.tables(total)
-        cos_t, sin_t = cos[start:total], sin[start:total]
+        starts = np.asarray(
+            [cache.length(seq_id, layer) for seq_id in seq_ids], dtype=np.int64
+        )
+        cos, sin = self.rope.tables(int(starts.max()) + seq)
+        positions = starts[:, None] + np.arange(seq)  # (batch, seq)
+        # Per-row rope rows, broadcast over heads: (batch, 1, seq, d_head).
+        cos_t = cos[positions][:, None]
+        sin_t = sin[positions][:, None]
 
         def split(a: np.ndarray) -> np.ndarray:
             return a.reshape(batch, seq, self.n_heads, self.d_head).transpose(
@@ -284,106 +217,211 @@ class MultiHeadAttention(Module):
         q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
         k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
         v = split(self.v_proj.forward_array(x))
-        keys, values = cache.append(k, v)
-        scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(self.d_head)
-        if seq > 1:
-            # Offset causal mask: new token i (absolute position start + i)
-            # attends to absolute positions <= start + i.  For start == 0
-            # this is exactly ``F.causal_mask(seq)``.
-            mask = np.zeros((seq, total))
-            blocked = np.arange(total)[None, :] > (
-                start + np.arange(seq)[:, None]
+        rows = []
+        for row, seq_id in enumerate(seq_ids):
+            keys, values = cache.append(
+                layer, seq_id, k[row : row + 1], v[row : row + 1]
             )
-            mask[blocked] = -np.inf
-            scores = scores + mask
-        probs = F.softmax(scores, axis=-1)
-        context = probs @ values
-        heads = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
-        return self.o_proj.forward_array(heads)
+            scores = (
+                q[row : row + 1]
+                @ np.swapaxes(keys, -1, -2)
+                / np.sqrt(self.d_head)
+            )
+            if seq > 1:
+                # Offset causal mask: new token i (absolute position
+                # start + i) attends to absolute positions <= start + i.
+                # For start == 0 this is exactly ``F.causal_mask(seq)``.
+                total = keys.shape[2]
+                mask = np.zeros((seq, total))
+                mask[np.arange(total) > positions[row][:, None]] = -np.inf
+                scores = scores + mask
+            context = F.softmax(scores, axis=-1) @ values
+            rows.append(
+                context.transpose(0, 2, 1, 3).reshape(1, seq, self.d_model)
+            )
+        return self.o_proj.forward_array(np.concatenate(rows))
 
 
-class KVCache:
-    """Preallocated key/value cache for one attention block.
+class PagedKVCache:
+    """Block-pooled key/value storage shared by many sequences.
 
-    The pre-PR-5 cache re-concatenated the whole history on every appended
-    token — O(n²) copying over a decode.  This cache owns one contiguous
-    buffer per tensor and writes new keys/values into the next free slots:
+    Built the way vLLM's PagedAttention is: key/value storage is a fixed
+    pool of ``num_blocks`` blocks of ``block_size`` token slots, shared by
+    all sequences, and each sequence maps its token positions onto pool
+    blocks through a block table.  Sequences of any length can therefore
+    join and leave a running batch, and freeing a finished sequence returns
+    its blocks to the pool immediately.  Every block stores all
+    ``n_layers`` layers, so one reservation covers the whole depth of the
+    model.  Pools are allocated once, on the first append (head count, head
+    dimension and dtype are taken from the first key tensor seen).
 
-    * ``capacity`` preallocates the buffer at first append (pass
-      ``max_seq_len`` so a decode never reallocates);
-    * with the default ``capacity=0`` the buffer grows by doubling, an
-      amortised O(1) append;
-    * :attr:`keys`/:attr:`values` are zero-copy views of the filled prefix —
-      element-for-element the arrays concatenation would have produced.
+    Gathered histories are exact copies of what was appended (block writes
+    and fancy-index gathers move bytes, never round), returned read-only;
+    :meth:`MultiHeadAttention.forward_cached` over a paged sequence is
+    therefore independent of block geometry and batch company — the
+    property the serving layer's determinism contract rests on.
 
-    Buffer shape and dtype come from the first appended array, so the cache
-    is agnostic to batch size, head count, and head dimension.
+    Exhaustion is a typed, recoverable signal: :meth:`reserve` raises
+    :class:`~repro.runtime.errors.CacheExhausted` *before* any bytes are
+    written, so a scheduler can preempt a victim sequence and retry without
+    ever observing a half-written cache.
     """
 
-    def __init__(self, capacity: int = 0) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = int(capacity)
+    def __init__(
+        self, n_layers: int, block_size: int = 16, num_blocks: int = 64
+    ) -> None:
+        if n_layers < 1:
+            raise ValueError("n_layers must be positive")
+        if block_size < 1:
+            raise ValueError("block_size must be positive")
+        if num_blocks < 1:
+            raise ValueError("num_blocks must be positive")
+        self.n_layers = int(n_layers)
+        self.block_size = int(block_size)
+        self.num_blocks = int(num_blocks)
+        # Free list is a stack; blocks are handed out from the end and
+        # returned in free() order, keeping allocation deterministic for a
+        # deterministic sequence of operations.
+        self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
+        self._tables: dict[Hashable, list[int]] = {}
+        self._lengths: dict[Hashable, list[int]] = {}
         self._keys: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
-        self._length = 0
+
+    # -- pool accounting -------------------------------------------------
+    @property
+    def free_blocks(self) -> int:
+        """Blocks currently available in the pool."""
+        return len(self._free)
 
     @property
-    def length(self) -> int:
-        """Number of cached positions."""
-        return self._length
+    def used_blocks(self) -> int:
+        """Blocks currently assigned to live sequences."""
+        return self.num_blocks - len(self._free)
 
-    @property
-    def keys(self) -> Optional[np.ndarray]:
-        """Read-only view of the cached keys, ``(b, h, length, d)``.
+    def blocks_for(self, tokens: int) -> int:
+        """Blocks needed to hold ``tokens`` positions."""
+        if tokens <= 0:
+            return 0
+        return -(-tokens // self.block_size)
 
-        ``None`` while empty.  The view is marked non-writable so callers
-        cannot corrupt the cache through the alias; the backing buffer
-        itself stays writable for :meth:`append`.
+    def can_reserve(self, seq_id: Hashable, total_tokens: int) -> bool:
+        """Whether :meth:`reserve` for ``total_tokens`` would succeed."""
+        held = len(self._tables.get(seq_id, ()))
+        return self.blocks_for(total_tokens) - held <= len(self._free)
+
+    def seq_ids(self) -> tuple[Hashable, ...]:
+        """Live sequence ids, in allocation order."""
+        return tuple(self._tables)
+
+    def length(self, seq_id: Hashable, layer: int = 0) -> int:
+        """Committed token count of a sequence at ``layer``."""
+        return self._lengths[seq_id][layer]
+
+    # -- sequence lifecycle ----------------------------------------------
+    def allocate(self, seq_id: Hashable) -> None:
+        """Register an empty sequence (no blocks reserved yet)."""
+        if seq_id in self._tables:
+            raise ValueError(f"sequence {seq_id!r} is already allocated")
+        self._tables[seq_id] = []
+        self._lengths[seq_id] = [0] * self.n_layers
+
+    def reserve(self, seq_id: Hashable, total_tokens: int) -> None:
+        """Grow the block table to cover ``total_tokens`` positions.
+
+        Allocation-only — no cache bytes are touched — so a
+        :class:`CacheExhausted` here leaves every sequence consistent and
+        the scheduler free to preempt and retry.
         """
-        if self._keys is None:
-            return None
-        view = self._keys[:, :, : self._length]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def values(self) -> Optional[np.ndarray]:
-        """Read-only view of the cached values, ``(b, h, length, d)``.
-
-        ``None`` while empty; non-writable like :attr:`keys`.
-        """
-        if self._values is None:
-            return None
-        view = self._values[:, :, : self._length]
-        view.flags.writeable = False
-        return view
-
-    def _reserve(self, template: np.ndarray, needed: int) -> None:
-        """Ensure the buffers hold at least ``needed`` positions."""
-        if self._keys is not None and self._keys.shape[2] >= needed:
+        table = self._tables[seq_id]
+        needed = self.blocks_for(total_tokens) - len(table)
+        if needed <= 0:
             return
-        if self._keys is None:
-            size = max(self.capacity, needed)
-        else:
-            size = max(2 * self._keys.shape[2], needed)
-        batch, heads, _, d_head = template.shape
-        keys = np.empty((batch, heads, size, d_head), dtype=template.dtype)
-        values = np.empty_like(keys)
+        if needed > len(self._free):
+            raise CacheExhausted(
+                f"KV block pool exhausted: sequence {seq_id!r} needs "
+                f"{needed} more block(s), {len(self._free)} free "
+                f"(pool {self.num_blocks} x {self.block_size} tokens)"
+            )
+        for _ in range(needed):
+            table.append(self._free.pop())
+
+    def free(self, seq_id: Hashable) -> int:
+        """Release a sequence's blocks back to the pool; returns the count."""
+        table = self._tables.pop(seq_id, None)
+        self._lengths.pop(seq_id, None)
+        if table is None:
+            return 0
+        self._free.extend(table)
+        return len(table)
+
+    def free_all(self) -> None:
+        """Release every sequence (worker reset)."""
+        for seq_id in list(self._tables):
+            self.free(seq_id)
+
+    # -- storage ----------------------------------------------------------
+    def _ensure_pools(self, template: np.ndarray) -> None:
+        """Allocate the K/V pools from the first key tensor's geometry."""
         if self._keys is not None:
-            keys[:, :, : self._length] = self._keys[:, :, : self._length]
-            values[:, :, : self._length] = self._values[:, :, : self._length]
-        self._keys, self._values = keys, values
+            return
+        heads, d_head = template.shape[1], template.shape[3]
+        shape = (self.n_layers, self.num_blocks, heads, self.block_size, d_head)
+        self._keys = np.zeros(shape, dtype=template.dtype)
+        self._values = np.zeros(shape, dtype=template.dtype)
 
     def append(
-        self, k: np.ndarray, v: np.ndarray
+        self, layer: int, seq_id: Hashable, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``(b, h, t, d)`` keys/values; returns views of the caches."""
+        """Append ``(1, heads, t, d_head)`` keys/values for one sequence.
+
+        Returns the sequence's full cached history at ``layer`` as two
+        read-only ``(1, heads, length, d_head)`` arrays (:meth:`gather`).
+        """
         k = np.asarray(k)
         v = np.asarray(v)
-        new = self._length + k.shape[2]
-        self._reserve(k, new)
-        self._keys[:, :, self._length : new] = k
-        self._values[:, :, self._length : new] = v
-        self._length = new
-        return self.keys, self.values
+        if k.ndim != 4 or k.shape[0] != 1:
+            raise ValueError(
+                f"expected (1, heads, t, d_head) keys, got {k.shape}"
+            )
+        self._ensure_pools(k)
+        lengths = self._lengths[seq_id]
+        start = lengths[layer]
+        step = k.shape[2]
+        end = start + step
+        self.reserve(seq_id, end)
+        table = self._tables[seq_id]
+        pos = start
+        taken = 0
+        while pos < end:
+            block = table[pos // self.block_size]
+            offset = pos % self.block_size
+            take = min(self.block_size - offset, end - pos)
+            sel = (layer, block, slice(None), slice(offset, offset + take))
+            self._keys[sel] = k[0][:, taken : taken + take]
+            self._values[sel] = v[0][:, taken : taken + take]
+            pos += take
+            taken += take
+        lengths[layer] = end
+        return self.gather(layer, seq_id)
+
+    def gather(
+        self, layer: int, seq_id: Hashable
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sequence's cached ``(1, heads, length, d_head)`` history.
+
+        Returned arrays are freshly gathered copies with the write flag
+        cleared — callers cannot corrupt pool state through them.
+        """
+        length = self._lengths[seq_id][layer]
+        table = self._tables[seq_id]
+        blocks = np.asarray(table[: self.blocks_for(length)], dtype=np.intp)
+        out = []
+        for pool in (self._keys, self._values):
+            stacked = pool[layer, blocks]  # (n_blocks, heads, block, d_head)
+            heads, d_head = stacked.shape[1], stacked.shape[3]
+            flat = stacked.transpose(1, 0, 2, 3).reshape(heads, -1, d_head)
+            history = np.ascontiguousarray(flat[None, :, :length])
+            history.flags.writeable = False
+            out.append(history)
+        return out[0], out[1]

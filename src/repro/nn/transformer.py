@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd import Tensor, ops
 from repro.nn import functional as F
-from repro.nn.attention import AttentionCapture, KVCache, MultiHeadAttention
+from repro.nn.attention import (
+    AttentionCapture,
+    MultiHeadAttention,
+    PagedKVCache,
+)
 from repro.nn.config import LlamaConfig
 from repro.nn.modules import Embedding, Linear, Module, RMSNorm
-from repro.runtime.errors import RaggedBatchError
 
 __all__ = ["SwiGLU", "TransformerBlock", "LlamaModel"]
+
+
+def _sample(
+    logits: np.ndarray, temperature: float, rng: np.random.Generator
+) -> int:
+    """Next token from a ``(vocab,)`` logit row; greedy at temperature 0."""
+    if temperature <= 0.0:
+        return int(np.argmax(logits))
+    probs = F.softmax(logits / temperature)
+    return int(rng.choice(probs.size, p=probs))
 
 
 class SwiGLU(Module):
@@ -151,103 +164,53 @@ class LlamaModel(Module):
     # ------------------------------------------------------------------
     # Incremental decoding
     # ------------------------------------------------------------------
-    def new_cache(self) -> list[KVCache]:
-        """One empty KV cache per block, preallocated to ``max_seq_len``."""
-        return [KVCache(self.config.max_seq_len) for _ in self.blocks]
+    def new_cache(self, n_seqs: int = 1) -> PagedKVCache:
+        """A KV cache holding ``n_seqs`` sequences of ``max_seq_len`` tokens.
 
-    def decode_step(
-        self, ids: np.ndarray, caches: list[KVCache]
-    ) -> np.ndarray:
-        """Append one token per batch row; returns next-token logits.
-
-        ``ids`` is (batch,) or (batch, 1).  Position is inferred from the
-        cache length; feeding more than ``max_seq_len`` total tokens is
-        rejected (sliding-window decoding requires a fresh cache).
+        Sequences ``0 .. n_seqs - 1`` are allocated and empty.
         """
-        ids = np.asarray(ids).reshape(-1, 1)
-        position = caches[0].length
-        if position >= self.config.max_seq_len:
-            raise ValueError("KV cache is full (max_seq_len reached)")
-        x = self.embed.weight.data[ids]
-        for block, cache in zip(self.blocks, caches):
-            normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_step(normed, cache, position)
-            x = x + block.mlp.forward_array(
-                block.post_attn_norm.forward_array(x)
-            )
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
+        cache = PagedKVCache(
+            len(self.blocks),
+            block_size=self.config.max_seq_len,
+            num_blocks=n_seqs,
+        )
+        for seq_id in range(n_seqs):
+            cache.allocate(seq_id)
+        return cache
 
-    def decode_step_ragged(
-        self, ids: np.ndarray, positions: np.ndarray, kv_backend
+    def forward_cached(
+        self,
+        ids: np.ndarray,
+        cache: PagedKVCache,
+        seq_ids: Sequence[Hashable],
     ) -> np.ndarray:
-        """Append one token per row at *per-row* positions (ragged batch).
+        """Feed ``(batch, seq)`` new tokens through the KV cache.
 
-        The continuous-batching decode step: row ``b`` extends a sequence
-        of length ``positions[b]`` (sequences of different lengths share
-        one batched pass).  ``kv_backend`` abstracts the per-row KV
-        storage with a single duck-typed method::
-
-            append(layer, row, k, v) -> (keys, values)
-
-        where ``k``/``v`` are the row's new key/value ``(1, h, 1, d)`` for
-        ``layer`` and the returned arrays are the row's full cached
-        ``(1, h, len, d)`` history (:class:`repro.serve.PagedKVCache`
-        provides exactly this).  Returns next-token logits
-        ``(batch, vocab)``.  Every layer is row-independent, so row ``b``
-        is bit-identical to a dedicated :meth:`decode_step` on a batch of
-        one — the property the serving layer's replay-after-crash
-        determinism rests on.
-        """
-        ids = np.asarray(ids).reshape(-1, 1)
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-        if int(positions.max()) >= self.config.max_seq_len:
-            raise ValueError("KV cache is full (max_seq_len reached)")
-        x = self.embed.weight.data[ids]
-        for index, block in enumerate(self.blocks):
-            normed = block.input_norm.forward_array(x)
-
-            def append(row, k, v, _layer=index):
-                return kv_backend.append(_layer, row, k, v)
-
-            x = x + block.self_attn.forward_step_ragged(
-                normed, positions, append
-            )
-            x = x + block.mlp.forward_array(
-                block.post_attn_norm.forward_array(x)
-            )
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
-
-    def prefill(
-        self, ids: np.ndarray, caches: list[KVCache]
-    ) -> np.ndarray:
-        """Feed a ``(batch, seq)`` prompt through the caches in one pass.
-
-        Returns next-token logits ``(batch, vocab)`` and leaves ``caches``
-        holding the full prompt, exactly as ``seq`` successive
-        :meth:`decode_step` calls would — but with one batched attention per
-        block instead of ``seq`` single-token steps.  On fresh caches the
-        arithmetic is identical to :meth:`forward_array`.
+        Row ``b`` extends sequence ``seq_ids[b]`` of ``cache`` from its
+        committed length; rows may sit at different lengths.  Returns
+        next-token logits ``(batch, vocab)`` and leaves every row's tokens
+        cached.  One call covers a prompt prefill (``seq > 1``) and a
+        batched decode step (``seq == 1``) alike.  Every layer is
+        row-independent, so row ``b`` is bit-identical to the same call on
+        a batch of one — the property the serving layer's replay-after-crash
+        determinism rests on; on a fresh cache the arithmetic is identical
+        to :meth:`forward_array`.  Feeding past ``max_seq_len`` total
+        tokens is rejected (sliding-window decoding is :meth:`generate`).
         """
         ids = np.atleast_2d(np.asarray(ids))
         if ids.shape[1] == 0:
-            raise ValueError("prompt must contain at least one token")
-        total = caches[0].length + ids.shape[1]
-        if total > self.config.max_seq_len:
+            raise ValueError("ids must contain at least one token per row")
+        if len(seq_ids) != ids.shape[0]:
+            raise ValueError("seq_ids must provide one sequence per row")
+        longest = max(cache.length(seq_id) for seq_id in seq_ids)
+        if longest + ids.shape[1] > self.config.max_seq_len:
             raise ValueError("KV cache is full (max_seq_len reached)")
         x = self.embed.weight.data[ids]
-        for block, cache in zip(self.blocks, caches):
+        for layer, block in enumerate(self.blocks):
             normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_prefill(normed, cache)
+            x = x + block.self_attn.forward_cached(
+                normed, cache, layer, seq_ids
+            )
             x = x + block.mlp.forward_array(
                 block.post_attn_norm.forward_array(x)
             )
@@ -267,8 +230,10 @@ class LlamaModel(Module):
     ) -> np.ndarray:
         """KV-cached equivalent of :meth:`generate` (O(n) per token).
 
-        Prompt + continuation must fit in ``config.max_seq_len``; use
-        :meth:`generate` for sliding-window decoding beyond the context.
+        One :meth:`forward_cached` prefills the prompt, then one per
+        sampled token except the last.  Prompt + continuation must fit in
+        ``config.max_seq_len``; use :meth:`generate` for sliding-window
+        decoding beyond the context.
         """
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be non-negative")
@@ -280,78 +245,15 @@ class LlamaModel(Module):
             raise ValueError(
                 "prompt plus continuation exceeds the context window"
             )
-        caches = self.new_cache()
-        logits = self.prefill(prompt[None, :], caches)
+        cache = self.new_cache()
         sequence = list(prompt)
+        ids = prompt[None, :]
         for _ in range(max_new_tokens):
-            row = logits[0]
-            if temperature <= 0.0:
-                token = int(np.argmax(row))
-            else:
-                probs = F.softmax(row / temperature)
-                token = int(rng.choice(probs.size, p=probs))
+            logits = self.forward_cached(ids, cache, [0])[0]
+            token = _sample(logits, temperature, rng)
             sequence.append(token)
-            logits = self.decode_step(np.array([token]), caches)
+            ids = np.array([[token]])
         return np.asarray(sequence, dtype=np.int64)
-
-    def generate_batch(
-        self,
-        prompts: np.ndarray,
-        max_new_tokens: int,
-        temperature: float = 0.0,
-        rngs: Optional[list[np.random.Generator]] = None,
-    ) -> np.ndarray:
-        """Decode a batch of equal-length prompts in one cached pass.
-
-        ``prompts`` is ``(batch, prompt_len)``; returns
-        ``(batch, prompt_len + max_new_tokens)``.  Row ``b`` matches
-        ``generate_cached(prompts[b], ...)`` token for token (every layer is
-        row-independent, so batching only amortises dispatch overhead).  With
-        ``temperature > 0`` pass one generator per row via ``rngs``; the
-        default decodes greedily.
-        """
-        if max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
-        if isinstance(prompts, (list, tuple)):
-            lengths = {len(np.asarray(p).reshape(-1)) for p in prompts}
-            if len(lengths) > 1:
-                raise RaggedBatchError(
-                    "generate_batch requires equal-length prompts (got "
-                    f"lengths {sorted(lengths)}); ragged batches are served "
-                    "by the paged path — repro.serve.ContinuousBatchScheduler "
-                    "over a PagedKVCache — or pad / call generate_cached "
-                    "per prompt"
-                )
-        prompts = np.atleast_2d(np.asarray(prompts))
-        batch, prompt_len = prompts.shape
-        if prompt_len == 0:
-            raise ValueError("prompts must contain at least one token")
-        if prompt_len + max_new_tokens > self.config.max_seq_len:
-            raise ValueError(
-                "prompt plus continuation exceeds the context window"
-            )
-        if temperature > 0.0:
-            if rngs is None or len(rngs) != batch:
-                raise ValueError(
-                    "sampling requires one rng per batch row"
-                )
-        caches = self.new_cache()
-        logits = self.prefill(prompts, caches)
-        sequences = [list(row) for row in prompts]
-        for _ in range(max_new_tokens):
-            tokens = np.empty(batch, dtype=np.int64)
-            for row_index in range(batch):
-                row = logits[row_index]
-                if temperature <= 0.0:
-                    tokens[row_index] = int(np.argmax(row))
-                else:
-                    probs = F.softmax(row / temperature)
-                    tokens[row_index] = int(
-                        rngs[row_index].choice(probs.size, p=probs)
-                    )
-                sequences[row_index].append(int(tokens[row_index]))
-            logits = self.decode_step(tokens, caches)
-        return np.asarray(sequences, dtype=np.int64)
 
     def generate(
         self,
@@ -375,12 +277,7 @@ class LlamaModel(Module):
         for _ in range(max_new_tokens):
             window = np.asarray(sequence[-self.config.max_seq_len:])
             logits = self.forward_array(window[None, :])[0, -1]
-            if temperature <= 0.0:
-                token = int(np.argmax(logits))
-            else:
-                probs = F.softmax(logits / temperature)
-                token = int(rng.choice(probs.size, p=probs))
-            sequence.append(token)
+            sequence.append(_sample(logits, temperature, rng))
         return np.asarray(sequence, dtype=np.int64)
 
     def quantizable_linears(self) -> dict[str, Linear]:

@@ -51,7 +51,9 @@ def generate_self_data(
 ) -> np.ndarray:
     """Sample sequences autoregressively from ``model`` (data-free corpus).
 
-    Uses batched KV-cached decoding, so cost is linear in ``seq_len``.
+    Uses batched KV-cached decoding (one
+    :meth:`~repro.nn.transformer.LlamaModel.forward_cached` per position),
+    so cost is linear in ``seq_len``.
     """
     if seq_len > model.config.max_seq_len:
         raise ValueError("seq_len exceeds the model's context window")
@@ -59,8 +61,9 @@ def generate_self_data(
     vocab = model.config.vocab_size
     sequences = np.empty((n_sequences, seq_len), dtype=np.int64)
     sequences[:, 0] = rng.integers(vocab, size=n_sequences)
-    caches = model.new_cache()
-    logits = model.decode_step(sequences[:, 0], caches)
+    cache = model.new_cache(n_sequences)
+    rows = list(range(n_sequences))
+    logits = model.forward_cached(sequences[:, :1], cache, rows)
     for position in range(1, seq_len):
         probs = F.softmax(logits / temperature, axis=-1)
         cumulative = np.cumsum(probs, axis=-1)
@@ -69,7 +72,9 @@ def generate_self_data(
             (cumulative < draws).sum(axis=-1), vocab - 1
         )
         if position + 1 < seq_len:
-            logits = model.decode_step(sequences[:, position], caches)
+            logits = model.forward_cached(
+                sequences[:, position : position + 1], cache, rows
+            )
     return sequences
 
 

@@ -224,8 +224,8 @@ def eval_bench_records(
       ``(8, 128, vocab)`` logit block (bit-identical by the shared max
       shift and reduction order);
     * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
-      prefill + preallocated-KV-cache :meth:`generate_cached` decode
-      (token-for-token equal);
+      paged-KV-cache :meth:`generate_cached` decode (one prefill, then one
+      :meth:`forward_cached` per token; token-for-token equal);
     * ``packed-forward-<N>x<N>`` — per-call dequantize-then-matmul vs the
       memoised LUT-dequantized weight of :class:`QuantizedLinear`
       (bit-identical outputs).
@@ -767,9 +767,9 @@ def serve_bench_records(
     Two records, both re-checking bit-identity at measure time:
 
     * ``serve-paged-decode`` — B ragged sequences decoded as one
-      continuous batch over the :class:`~repro.serve.paged_cache.PagedKVCache`
+      continuous batch over the :class:`~repro.nn.attention.PagedKVCache`
       (via :class:`~repro.serve.engine.InProcessWorker`) vs a serial
-      :meth:`generate_cached` loop;
+      :meth:`generate_cached` loop (one sequence on the same cache type);
     * ``serve-continuous-batching`` — the full async
       :class:`~repro.serve.scheduler.ContinuousBatchScheduler` over a
       seeded open-loop workload vs the same serial loop, with latency

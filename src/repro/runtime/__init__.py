@@ -27,7 +27,6 @@ from repro.runtime.errors import (
     DeadlineExceeded,
     InjectedFault,
     NumericalRecoveryError,
-    RaggedBatchError,
     ReproRuntimeError,
     RequestCancelled,
     RequestShed,
@@ -70,7 +69,6 @@ __all__ = [
     "NumericalRecoveryError",
     "InjectedFault",
     "ServeError",
-    "RaggedBatchError",
     "AdmissionError",
     "RequestShed",
     "DeadlineExceeded",

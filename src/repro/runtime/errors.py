@@ -16,7 +16,6 @@ __all__ = [
     "NumericalRecoveryError",
     "InjectedFault",
     "ServeError",
-    "RaggedBatchError",
     "AdmissionError",
     "RequestShed",
     "DeadlineExceeded",
@@ -73,17 +72,6 @@ class ServeError(ReproRuntimeError):
     The serving robustness contract promises that a request either
     completes or fails *fast* with one of these subclasses — never a bare
     ``Exception``, never a silent hang.
-    """
-
-
-class RaggedBatchError(ServeError, ValueError):
-    """A batched generation API received unequal-length prompts.
-
-    Subclasses :class:`ValueError` so pre-existing callers that guard
-    ``generate_batch`` with ``except ValueError`` keep working.  The
-    paged serving path (:class:`repro.serve.PagedKVCache` behind
-    :class:`repro.serve.ContinuousBatchScheduler`) has no such
-    restriction — ragged requests join and leave a running batch freely.
     """
 
 

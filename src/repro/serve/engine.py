@@ -1,6 +1,6 @@
 """Decode workers: the compute half of the serving layer.
 
-A worker owns a model plus a :class:`~repro.serve.paged_cache.PagedKVCache`
+A worker owns a model plus a :class:`~repro.nn.attention.PagedKVCache`
 and exposes four operations — ``prefill``, ``decode``, ``release``,
 ``stats`` — all returning plain values (logits arrays, dicts), never
 mutating scheduler state.  Sampling deliberately does *not* happen here:
@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nn.attention import PagedKVCache
 from repro.runtime import faults
 from repro.runtime.errors import WorkerCrashed, WorkerStalled
 from repro.runtime.parallel import ForkedWorker
-from repro.serve.paged_cache import PagedKVCache
 
 __all__ = ["ForkedEngineWorker", "InProcessWorker"]
 
@@ -94,11 +94,9 @@ class InProcessWorker:
         self._cache.allocate(seq_id)
         try:
             self._cache.reserve(seq_id, tokens.size)
-            views = [
-                self._cache.layer_view(seq_id, layer)
-                for layer in range(self._cache.n_layers)
-            ]
-            logits = self._model.prefill(tokens[None, :], views)
+            logits = self._model.forward_cached(
+                tokens[None, :], self._cache, [seq_id]
+            )
         except BaseException:
             self._cache.free(seq_id)
             raise
@@ -122,13 +120,8 @@ class InProcessWorker:
         # Reserve first: exhaustion must surface before any KV write.
         for seq_id, _, position in entries:
             self._cache.reserve(seq_id, position + 1)
-        ids = np.asarray([token for _, token, _ in entries], dtype=np.int64)
-        positions = np.asarray(
-            [position for _, _, position in entries], dtype=np.int64
-        )
-        logits = self._model.decode_step_ragged(
-            ids, positions, self._cache.ragged_view(seq_ids)
-        )
+        ids = np.asarray([[token] for _, token, _ in entries], dtype=np.int64)
+        logits = self._model.forward_cached(ids, self._cache, seq_ids)
         return logits, delay
 
     def release(self, seq_id: str) -> int:

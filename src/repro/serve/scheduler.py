@@ -2,9 +2,8 @@
 
 :class:`ContinuousBatchScheduler` drives one supervised decode worker
 (:mod:`repro.serve.supervisor`) over a stream of generation requests.
-Unlike :meth:`~repro.nn.transformer.LlamaModel.generate_batch`, requests
-of any length join and leave the running batch between decode steps
-(continuous batching over the paged KV cache); one call to :meth:`step`
+Requests of any length join and leave the running batch between decode
+steps (continuous batching over the paged KV cache); one call to :meth:`step`
 advances the whole system by at most one batched decode step.
 
 Robustness contract (asserted end-to-end by the chaos suite):

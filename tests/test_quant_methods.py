@@ -276,6 +276,18 @@ class TestLLMQAT:
         assert data.min() >= 0
         assert data.max() < trained_micro_model.config.vocab_size
 
+    def test_self_data_is_pinned(self, trained_micro_model):
+        # The LLM-QAT table rows train on these sampled tokens; any change
+        # to the cached decode path must leave them bit-for-bit unchanged.
+        data = generate_self_data(trained_micro_model, 4, 12, seed=1)
+        assert data.dtype == np.int64
+        assert data.tolist() == [
+            [121, 19, 241, 216, 59, 68, 125, 143, 117, 158, 158, 174],
+            [131, 243, 105, 174, 127, 80, 247, 104, 54, 227, 18, 83],
+            [193, 89, 163, 112, 47, 193, 241, 72, 138, 18, 176, 192],
+            [243, 117, 15, 190, 112, 106, 143, 243, 192, 152, 218, 117],
+        ]
+
     def test_training_runs_and_quantizes(self, trained_micro_model):
         model = clone(trained_micro_model)
         history = llmqat_train(

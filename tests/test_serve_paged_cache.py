@@ -1,7 +1,7 @@
 """Paged KV cache: bit-identity over ragged batches and pool edge cases.
 
 The serving layer's correctness rests on one claim: decoding a ragged
-batch over the block-pooled :class:`~repro.serve.paged_cache.PagedKVCache`
+batch over the block-pooled :class:`~repro.nn.attention.PagedKVCache`
 produces, per sequence, exactly the tokens a serial
 :meth:`~repro.nn.transformer.LlamaModel.generate_cached` run produces.
 These tests pin that claim directly (including as a Hypothesis property
@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.attention import PagedKVCache
 from repro.nn.config import LlamaConfig
 from repro.nn.transformer import LlamaModel
-from repro.runtime.errors import CacheExhausted, RaggedBatchError
+from repro.runtime.errors import CacheExhausted
 from repro.serve.engine import InProcessWorker
-from repro.serve.paged_cache import PagedKVCache
 
 CONFIG = LlamaConfig(
     vocab_size=61,
@@ -112,16 +112,6 @@ class TestRaggedBitIdentity:
         for index, (prompt, budget) in enumerate(zip(prompts, budgets)):
             reference = model.generate_cached(prompt, budget, temperature=0.0)
             np.testing.assert_array_equal(outputs[f"s{index}"], reference)
-
-    def test_generate_batch_rejects_ragged_with_pointer(self, model):
-        with pytest.raises(RaggedBatchError, match="repro.serve"):
-            model.generate_batch(
-                [np.array([1, 2]), np.array([1, 2, 3])], max_new_tokens=2
-            )
-
-    def test_ragged_batch_error_is_value_error(self):
-        # Callers that guarded the old ValueError keep working.
-        assert issubclass(RaggedBatchError, ValueError)
 
 
 class TestBlockPool:
