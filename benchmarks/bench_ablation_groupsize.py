@@ -9,7 +9,7 @@ cost of more fp16 grid parameters.
 from repro.core import APTQConfig, aptq_quantize_model
 from repro.eval.perplexity import perplexity
 from repro.models.zoo import clone_model
-from repro.quant import QuantizedLinear
+from repro.quant import FormatLinear
 from repro.report import format_table, write_csv
 
 
@@ -23,8 +23,11 @@ def run_ablation(context, group_sizes=(8, 16, 32, 64)):
             APTQConfig(ratio_4bit=0.75, group_size=group_size),
         )
         storage = sum(
-            QuantizedLinear.from_weight(
-                linear.weight.data, result.allocation[name], group_size
+            FormatLinear.from_weight(
+                linear.weight.data,
+                "int",
+                group_size,
+                bits=result.allocation[name],
             ).storage_bytes()
             for name, linear in model.quantizable_linears().items()
         )

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import APTQConfig, aptq_quantize_model
 from repro.data import c4_sim, sample_calibration
 from repro.models import clone_model, pretrained
-from repro.quant import QuantizedLinear
+from repro.quant import FormatLinear
 
 
 def main() -> None:
@@ -41,8 +41,8 @@ def main() -> None:
     rng = np.random.default_rng(0)
     for name, linear in model.quantizable_linears().items():
         bits = result.allocation[name]
-        packed = QuantizedLinear.from_weight(
-            linear.weight.data, bits, group_size=32
+        packed = FormatLinear.from_weight(
+            linear.weight.data, "int", group_size=32, bits=bits
         )
         fp16_bytes = linear.weight.size * 2
         total_packed += packed.storage_bytes()

@@ -27,7 +27,6 @@ DATA_MUTATION_ALLOWED = (
 #: Storage/serialization modules where sub-float64 dtypes are the point.
 DTYPE_NARROWING_ALLOWED = (
     "repro.quant.packing",
-    "repro.quant.qlinear",
     "repro.quant.formats",
     "repro.quant.deploy",
     "repro.nn.serialize",

@@ -5,10 +5,10 @@ Building blocks
 * :mod:`repro.quant.uniform` — affine uniform quantizer (scale/zero-point).
 * :mod:`repro.quant.groupwise` — group-wise quantization over input channels.
 * :mod:`repro.quant.packing` — dense bit-packing of integer codes.
-* :mod:`repro.quant.qlinear` — packed quantized linear layer representation.
 * :mod:`repro.quant.formats` — low-precision format registry (int-k, FP4,
   NF4, MX-style shared exponent, 2:4 sparse) behind one
-  encode/decode/pack protocol with declared error bounds.
+  encode/decode/pack protocol with declared error bounds, and
+  ``FormatLinear``, the packed layer every deployed layer is stored as.
 * :mod:`repro.quant.observer` — calibration observers (absmax/percentile)
   driving the lookup-table formats' scale selection.
 * :mod:`repro.quant.solver` — the shared second-order error-compensation
@@ -35,7 +35,6 @@ from repro.quant.uniform import (
 )
 from repro.quant.groupwise import GroupQuantResult, quantize_groupwise
 from repro.quant.packing import pack_codes, unpack_codes
-from repro.quant.qlinear import QuantizedLinear
 from repro.quant.formats import (
     FormatLinear,
     IntFormat,
@@ -84,7 +83,6 @@ __all__ = [
     "quantize_groupwise",
     "pack_codes",
     "unpack_codes",
-    "QuantizedLinear",
     "QuantFormat",
     "QuantizedTensor",
     "IntFormat",

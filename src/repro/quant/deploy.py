@@ -2,17 +2,15 @@
 
 The paper's motivation is fitting LLMs into edge-device memory; this module
 provides the artifact a deployment would actually ship: every quantizable
-layer stored as packed integer codes + fp16 group grids
-(:class:`repro.quant.qlinear.QuantizedLinear`), the full-precision
-remainder (embeddings, norms) as fp16, all in one ``.npz``.
+layer stored as a :class:`~repro.quant.formats.FormatLinear` payload
+(packed codes + grids of an int-k or other format of
+:mod:`repro.quant.formats`), the full-precision remainder (embeddings,
+norms) as fp16, all in one ``.npz``.
 
 ``pack_model`` captures a quantized model (after any method from
 ``repro.quant``/``repro.core`` ran on it); ``PackedModel.to_model()``
 reconstructs a runnable :class:`~repro.nn.transformer.LlamaModel` whose
-weights equal the packed representation exactly.  Layers may be stored in
-the legacy int-k form (:class:`~repro.quant.qlinear.QuantizedLinear`) or
-in any registered format of :mod:`repro.quant.formats`
-(:class:`~repro.quant.formats.FormatLinear`); the on-disk archive is
+weights equal the packed representation exactly.  The on-disk archive is
 written through :func:`repro.nn.serialize.save_arrays`, so it is atomic
 and checksummed like every other checkpoint in the repo.
 """
@@ -26,8 +24,7 @@ import numpy as np
 from repro.nn.config import LlamaConfig
 from repro.nn.serialize import load_arrays, save_arrays
 from repro.nn.transformer import LlamaModel
-from repro.quant.formats import FormatLinear, get_format, resolve_format
-from repro.quant.qlinear import QuantizedLinear
+from repro.quant.formats import FormatLinear, IntFormat, get_format, resolve_format
 
 __all__ = ["PackedModel", "pack_model"]
 
@@ -38,7 +35,7 @@ class PackedModel:
     def __init__(
         self,
         config: LlamaConfig,
-        layers: dict[str, QuantizedLinear | FormatLinear],
+        layers: dict[str, FormatLinear],
         full_precision: dict[str, np.ndarray],
     ) -> None:
         self.config = config
@@ -80,21 +77,10 @@ class PackedModel:
         """Write the artifact as one atomic, checksummed ``.npz``."""
         payload: dict[str, np.ndarray] = {}
         meta: dict[str, dict] = {}
-        for name, packed in self.layers.items():
-            if isinstance(packed, FormatLinear):
-                arrays, header = packed.payload()
-                for key, array in arrays.items():
-                    payload[f"packed/{name}/{key}"] = array
-                meta[name] = header
-                continue
-            payload[f"packed/{name}/codes"] = packed.packed
-            payload[f"packed/{name}/scales"] = packed.scales
-            payload[f"packed/{name}/zeros"] = packed.zeros
-            meta[name] = {
-                "bits": packed.bits,
-                "group_size": packed.group_size,
-                "shape": list(packed.shape),
-            }
+        for name, layer in self.layers.items():
+            for key, array in layer.arrays.items():
+                payload[f"packed/{name}/{key}"] = array
+            meta[name] = layer.meta
         for name, array in self.full_precision.items():
             payload[f"fp/{name}"] = array.astype(np.float16)
         header = {"config": self.config.to_dict(), "layers": meta}
@@ -105,28 +91,19 @@ class PackedModel:
         """Inverse of :meth:`save`."""
         raw, header = load_arrays(path)
         config = LlamaConfig.from_dict(header["config"])
-        layers: dict[str, QuantizedLinear | FormatLinear] = {}
+        layers: dict[str, FormatLinear] = {}
         for name, meta in header["layers"].items():
             prefix = f"packed/{name}/"
-            if "format" in meta:
-                fmt = get_format(meta["format"])
-                arrays = {
-                    key[len(prefix):]: array
-                    for key, array in raw.items()
-                    if key.startswith(prefix)
-                }
-                layers[name] = FormatLinear(
-                    fmt, fmt.unpack_payload(arrays, meta)
-                )
-                continue
-            layers[name] = QuantizedLinear(
-                packed=raw[f"{prefix}codes"],
-                scales=raw[f"{prefix}scales"],
-                zeros=raw[f"{prefix}zeros"],
-                bits=int(meta["bits"]),
-                group_size=int(meta["group_size"]),
-                shape=tuple(meta["shape"]),
-            )
+            arrays = {
+                key[len(prefix):]: array
+                for key, array in raw.items()
+                if key.startswith(prefix)
+            }
+            if "format" not in meta:
+                # Archives written before int layers carried a format name:
+                # their arrays already have the int payload layout.
+                meta = {"format": f"int{meta['bits']}", **meta}
+            layers[name] = FormatLinear(get_format(meta["format"]), arrays, meta)
         full_precision = {
             key[len("fp/"):]: raw[key]
             for key in raw
@@ -148,34 +125,38 @@ def pack_model(
     ``bits`` is a uniform width or a per-layer allocation (e.g.
     ``APTQResult.allocation``).  When ``layer_results`` is supplied (the
     ``APTQResult.layer_results``/GPTQ result mapping), each layer's *exact*
-    solver codes and grids are packed — the lossless path; otherwise the
-    current weights are re-rounded onto a fresh min/max grid, which may
-    shift entries by up to half a quantization step.  Non-quantizable
-    parameters (embeddings, norm gains) are carried at fp16.
+    solver codes and grids are packed as an ``int<bits>`` payload — the
+    lossless path; otherwise the current weights are re-rounded onto a
+    fresh min/max grid, which may shift entries by up to half a
+    quantization step.  Non-quantizable parameters (embeddings, norm
+    gains) are carried at fp16.
 
     ``format`` selects a registry entry from :mod:`repro.quant.formats`
-    for the re-rounding path (``"int"`` keeps the legacy affine path, any
-    other name must be registered).  ``format_results`` (e.g.
-    ``APTQResult.format_results``) supplies already-encoded
-    :class:`~repro.quant.formats.QuantizedTensor` payloads whose exact
-    codes are packed losslessly, analogous to ``layer_results`` for the
-    solver path.
+    for the re-rounding path (``"int"`` is the affine int family at each
+    layer's ``bits``; any other name must be registered).
+    ``format_results`` (e.g. ``APTQResult.format_results``) supplies
+    already-encoded :class:`~repro.quant.formats.QuantizedTensor` payloads
+    whose exact codes are packed losslessly, analogous to
+    ``layer_results`` for the solver path.
     """
     if format != "int":
         # Validate the name up front: unknown formats fail with the
         # registry listing, not deep inside the per-layer loop.
         resolve_format(format)
     quantizable = model.quantizable_linears()
-    layers: dict[str, QuantizedLinear | FormatLinear] = {}
+    layers: dict[str, FormatLinear] = {}
     for name, linear in quantizable.items():
         tensor = (format_results or {}).get(name)
         if tensor is not None:
-            layers[name] = FormatLinear(get_format(tensor.format), tensor)
+            layers[name] = FormatLinear.from_tensor(
+                get_format(tensor.format), tensor
+            )
             continue
         result = (layer_results or {}).get(name)
         if result is not None and result.permutation is None:
-            layers[name] = QuantizedLinear.from_group_result(
-                result.group_result
+            fmt = IntFormat(result.group_result.bits)
+            layers[name] = FormatLinear.from_tensor(
+                fmt, fmt.from_group_result(result.group_result)
             )
             continue
         if format != "int":
@@ -194,8 +175,8 @@ def pack_model(
                 ) from None
         else:
             layer_bits = int(bits)
-        layers[name] = QuantizedLinear.from_weight(
-            linear.weight.data, layer_bits, group_size
+        layers[name] = FormatLinear.from_weight(
+            linear.weight.data, "int", group_size, bits=layer_bits
         )
     quantized_keys = {f"{name}.weight" for name in quantizable}
     full_precision = {

@@ -1,14 +1,12 @@
 """Low-precision format zoo: a registry of quantized storage formats.
 
-:mod:`repro.quant.packing` + :mod:`repro.quant.qlinear` implement one
-storage format — uniform int-k codes on affine group grids.  This module
-generalises that into a :class:`QuantFormat` registry so the deployment
+A :class:`QuantFormat` registry of storage formats, so the deployment
 layer (:mod:`repro.quant.deploy`), the APTQ pipeline
 (``APTQConfig.format``) and the evaluation harness can select among:
 
-* ``int2``/``int3``/``int4``/``int8`` — :class:`IntFormat`, the existing
-  affine uniform path re-registered (codes, grids, and dequantized values
-  bit-identical to :class:`~repro.quant.qlinear.QuantizedLinear`);
+* ``int2``/``int3``/``int4``/``int8`` — :class:`IntFormat`, uniform int-k
+  codes on affine fp16 group grids (the solver's storage format; any
+  other width ``int<k>``, 1 <= k <= 16, resolves on demand);
 * ``fp4`` / ``fp4-p99`` — :class:`LutFormat` over the E2M1 fp4 value grid
   of :mod:`repro.quant.fpq`, with observer-driven scale selection
   (absmax, or a clipping 99th-percentile observer);
@@ -27,18 +25,25 @@ Every format implements ``encode``/``decode``, dense byte-exact
 ``error_bound`` that the shared conformance harness
 (``tests/test_quant_formats.py``) asserts against the measured error.
 Adding a format without registering it — or registering one that breaks
-any contract — is a tier-1 test failure.
+any contract — is a tier-1 test failure.  :class:`FormatLinear` is the one
+deployable layer type: a format plus its packed payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 
 from repro.quant.fpq import FP4_VALUES
-from repro.quant.groupwise import group_params, quantize_groupwise, resolve_group_size
+from repro.quant.groupwise import (
+    GroupQuantResult,
+    group_params,
+    quantize_groupwise,
+    resolve_group_size,
+)
 from repro.quant.observer import AbsmaxObserver, Observer, PercentileObserver
 from repro.quant.packing import pack_codes, unpack_codes
 
@@ -91,7 +96,7 @@ _FP16_TINY = np.float16(2.0 ** -24)
 
 
 def group_of_row(d_in: int, group_size: int, n_groups: int) -> np.ndarray:
-    """Group index of every input row (same convention as ``QuantizedLinear``).
+    """Group index of every input row (the last group absorbs the remainder).
 
     Bits:
         d_in: i64[0, *]
@@ -245,26 +250,15 @@ class QuantFormat:
         """Inverse of :meth:`_pack_grids`."""
         return arrays["scales"], arrays.get("zeros")
 
-    # -- derived -------------------------------------------------------
-    def storage_bits(self, tensor: QuantizedTensor) -> int:
-        """Total storage bits of the packed payload (codes + grids).
-
-        Bits:
-            tensor: any
-            return: i64[0, *]
-        """
-        arrays, _ = self.pack_payload(tensor)
-        return sum(8 * array.nbytes for array in arrays.values())
-
 
 class IntFormat(QuantFormat):
-    """Uniform int-k on affine group grids — the pre-registry path.
+    """Uniform int-k on affine group grids — the solver's storage format.
 
-    ``encode``/``decode`` reproduce
-    :class:`~repro.quant.qlinear.QuantizedLinear` exactly: codes come from
-    :func:`~repro.quant.groupwise.quantize_groupwise`, grids are stored
-    fp16, and the reconstruction is ``(code - zero) * scale`` in float64 —
-    the conformance suite pins this bit-identity.
+    Codes come from :func:`~repro.quant.groupwise.quantize_groupwise` (or
+    the error-compensated solver, via :meth:`from_group_result`), grids are
+    stored fp16, and the reconstruction is ``(code - zero) * scale`` in
+    float64 — pinned against a first-principles oracle by the conformance
+    suite.
     """
 
     def __init__(self, bits: int) -> None:
@@ -283,7 +277,20 @@ class IntFormat(QuantFormat):
             group_size: i64[1, *]
             return: any
         """
-        result = quantize_groupwise(weight, self.bits, group_size)
+        return self.from_group_result(
+            quantize_groupwise(weight, self.bits, group_size)
+        )
+
+    def from_group_result(self, result: GroupQuantResult) -> QuantizedTensor:
+        """Wrap exact group codes as this format's tensor (fp16 grids).
+
+        Shared by :meth:`encode` and :func:`~repro.quant.deploy.pack_model`,
+        which stores the solver's codes through it.
+
+        Bits:
+            result: any
+            return: any
+        """
         return QuantizedTensor(
             format=self.name,
             codes=result.codes,
@@ -615,13 +622,7 @@ class Sparse24Format(QuantFormat):
             tensor: any
             return: f64
         """
-        codes = tensor.codes.astype(np.float64)
-        scales = tensor.scales.astype(np.float64)
-        zeros = tensor.zeros.astype(np.float64)
-        rows = group_of_row(
-            tensor.shape[0], tensor.group_size, tensor.n_groups()
-        )
-        return (codes - zeros[rows]) * scales[rows] * tensor.mask
+        return IntFormat(self.bits).decode(tensor) * tensor.mask
 
     def error_bound(self, tensor: QuantizedTensor, weight: np.ndarray) -> float:
         """Int-grid bound on survivors, magnitude of the largest pruned entry.
@@ -738,19 +739,24 @@ def available_formats() -> tuple[str, ...]:
 
 
 def get_format(name: str) -> QuantFormat:
-    """Look up a registered format; unknown names list the registry.
+    """Look up a format by name; unknown names list the registry.
+
+    Unregistered ``int<k>`` names (1 <= k <= 16) resolve to
+    :class:`IntFormat` at that width, so int layers of any width load.
 
     Bits:
         name: any
         return: any
     """
-    try:
+    if name in _REGISTRY:
         return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown quantization format {name!r}; registered formats: "
-            + ", ".join(available_formats())
-        ) from None
+    width = re.fullmatch(r"int([1-9][0-9]?)", str(name))
+    if width and int(width.group(1)) <= 16:
+        return IntFormat(int(width.group(1)))
+    raise ValueError(
+        f"unknown quantization format {name!r}; registered formats: "
+        + ", ".join(available_formats())
+    )
 
 
 def resolve_format(name: str, bits: int | None = None) -> QuantFormat:
@@ -796,25 +802,39 @@ register_format(Sparse24Format())
 # Deployable layer
 # ----------------------------------------------------------------------
 class FormatLinear:
-    """A linear layer stored in any registered format's payload form.
+    """A linear layer stored as one format's packed payload.
 
-    The format-agnostic sibling of
-    :class:`~repro.quant.qlinear.QuantizedLinear`: the layer's canonical
-    state is the bit-packed payload (what :meth:`storage_bytes` counts),
-    and ``x @ W`` is served from a memoised dense reconstruction keyed on
-    a fingerprint of those packed arrays — evaluation loops decode each
+    The layer's state is the format plus its byte-exact payload — the
+    bit-packed ``arrays`` and the JSON-able header ``meta`` that
+    :meth:`storage_bytes` counts and
+    :class:`~repro.quant.deploy.PackedModel` archives; no unpacked codes
+    are kept.  ``x @ W`` is served from a memoised dense reconstruction
+    keyed on a fingerprint of the payload: evaluation loops decode each
     layer once, and in-place mutation of the stored arrays invalidates
     the cache.
     """
 
-    def __init__(self, fmt: QuantFormat, tensor: QuantizedTensor) -> None:
+    def __init__(
+        self, fmt: QuantFormat, arrays: dict[str, np.ndarray], meta: dict
+    ) -> None:
         self.format = fmt
-        self.arrays, self.meta = fmt.pack_payload(tensor)
-        # Unpacked view of the canonical storage (byte-identity makes it
-        # equal to the constructor argument).
-        self.tensor = fmt.unpack_payload(self.arrays, self.meta)
+        self.arrays = arrays
+        self.meta = meta
         self._dense_cache: np.ndarray | None = None
         self._dense_cache_key: bytes | None = None
+
+    @classmethod
+    def from_tensor(
+        cls, fmt: QuantFormat, tensor: QuantizedTensor
+    ) -> "FormatLinear":
+        """Pack an encoded tensor (the tensor itself is not retained).
+
+        Bits:
+            fmt: any
+            tensor: any
+            return: any
+        """
+        return cls(fmt, *fmt.pack_payload(tensor))
 
     @classmethod
     def from_weight(
@@ -833,9 +853,9 @@ class FormatLinear:
             return: any
         """
         fmt = resolve_format(format_name, bits)
-        return cls(fmt, fmt.encode(weight, group_size))
+        return cls.from_tensor(fmt, fmt.encode(weight, group_size))
 
-    # -- QuantizedLinear-compatible surface ----------------------------
+    # -- header fields -------------------------------------------------
     @property
     def format_name(self) -> str:
         """Registry name of the stored format.
@@ -852,7 +872,7 @@ class FormatLinear:
         Bits:
             return: i64[1, 16]
         """
-        return self.tensor.bits
+        return int(self.meta["bits"])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -861,7 +881,8 @@ class FormatLinear:
         Bits:
             return: any
         """
-        return self.tensor.shape
+        d_in, d_out = self.meta["shape"]
+        return int(d_in), int(d_out)
 
     @property
     def group_size(self) -> int:
@@ -870,15 +891,7 @@ class FormatLinear:
         Bits:
             return: i64[1, *]
         """
-        return self.tensor.group_size
-
-    def payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Byte-exact storage payload (arrays + JSON-able header).
-
-        Bits:
-            return: any
-        """
-        return self.arrays, self.meta
+        return int(self.meta["group_size"])
 
     def _fingerprint(self) -> bytes:
         """Digest of everything the dense reconstruction depends on."""

@@ -66,12 +66,6 @@ class GroupQuantResult:
             out[rows] = dequantize(self.codes[rows], params)
         return out
 
-    def storage_bits(self) -> int:
-        """Total bits: codes + fp16 scale and zero per group/column."""
-        code_bits = self.codes.size * self.bits
-        param_bits = (self.scales.size + self.zeros.size) * 16
-        return code_bits + param_bits
-
 
 def group_params(
     weight: np.ndarray, rows: slice, bits: int

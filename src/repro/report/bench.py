@@ -226,13 +226,13 @@ def eval_bench_records(
     * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
       paged-KV-cache :meth:`generate_cached` decode (one prefill, then one
       :meth:`forward_cached` per token; token-for-token equal);
-    * ``packed-forward-<N>x<N>`` — per-call dequantize-then-matmul vs the
-      memoised LUT-dequantized weight of :class:`QuantizedLinear`
-      (bit-identical outputs).
+    * ``packed-forward-<N>x<N>`` — per-call unpack-decode-then-matmul vs
+      the memoised dense weight of an int4
+      :class:`~repro.quant.formats.FormatLinear` (bit-identical outputs).
     """
     from repro.nn import functional as F
     from repro.nn.transformer import LlamaConfig, LlamaModel
-    from repro.quant.qlinear import QuantizedLinear
+    from repro.quant.formats import FormatLinear
 
     rng = np.random.default_rng(seed)
     records = []
@@ -307,14 +307,19 @@ def eval_bench_records(
         }
     )
 
-    # Packed forward: dequantize-per-call vs the memoised dense weight.
+    # Packed forward: decode-per-call vs the memoised dense weight.
     weight = rng.standard_normal((packed_size, packed_size))
-    ql = QuantizedLinear.from_weight(weight, bits=4, group_size=32)
+    layer = FormatLinear.from_weight(weight, "int4", group_size=32)
     x = rng.standard_normal((64, packed_size))
-    per_call = x @ ql._dequantize_direct()
-    memoised = ql.forward_array(x)  # warm the cache before timing
-    per_call_seconds = best_of(lambda: x @ ql._dequantize_direct(), repeats)
-    memoised_seconds = best_of(lambda: ql.forward_array(x), repeats)
+
+    def decode_per_call():
+        tensor = layer.format.unpack_payload(layer.arrays, layer.meta)
+        return x @ layer.format.decode(tensor)
+
+    per_call = decode_per_call()
+    memoised = layer.forward_array(x)  # warm the cache before timing
+    per_call_seconds = best_of(decode_per_call, repeats)
+    memoised_seconds = best_of(lambda: layer.forward_array(x), repeats)
     records.append(
         {
             "name": f"packed-forward-{packed_size}x{packed_size}",
@@ -361,7 +366,7 @@ def format_bench_records(
     for name in available_formats():
         fmt = get_format(name)
         tensor = fmt.encode(weight, 32)
-        linear = FormatLinear(fmt, tensor)
+        linear = FormatLinear.from_tensor(fmt, tensor)
         per_call = x @ fmt.decode(tensor)
         memoised = linear.forward_array(x)  # warm the cache before timing
         per_call_seconds = best_of(lambda: x @ fmt.decode(tensor), repeats)

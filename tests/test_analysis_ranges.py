@@ -514,7 +514,6 @@ class TestBitsCoverage:
         "rel",
         [
             "repro/quant/packing.py",
-            "repro/quant/qlinear.py",
             "repro/quant/formats.py",
             "repro/quant/observer.py",
         ],

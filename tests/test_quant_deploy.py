@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.aptq import APTQConfig, aptq_quantize_model
 from repro.eval.perplexity import perplexity
+from repro.nn.serialize import save_arrays
 from repro.quant.deploy import PackedModel, pack_model
 from repro.quant.formats import FormatLinear
 from repro.runtime.errors import CheckpointError
@@ -29,6 +30,10 @@ class TestPackModel:
     def test_all_quantizable_layers_packed(self, packed_setup):
         model, _, packed = packed_setup
         assert set(packed.layers) == set(model.quantizable_linears())
+        assert all(
+            isinstance(layer, FormatLinear)
+            for layer in packed.layers.values()
+        )
 
     def test_allocation_bits_preserved(self, packed_setup):
         _, result, packed = packed_setup
@@ -69,8 +74,59 @@ class TestRoundTrip:
         loaded = PackedModel.load(path)
         assert loaded.config == packed.config
         for name, q in packed.layers.items():
-            assert np.array_equal(loaded.layers[name].codes(), q.codes())
-            assert loaded.layers[name].bits == q.bits
+            layer = loaded.layers[name]
+            assert layer.meta == q.meta
+            assert set(layer.arrays) == {"codes", "scales", "zeros"}
+            for key, array in q.arrays.items():
+                assert layer.arrays[key].dtype == array.dtype
+                assert np.array_equal(layer.arrays[key], array)
+            assert layer.format_name == f"int{q.bits}"
+
+    @pytest.mark.parametrize("bits", [5, 6, 7])
+    def test_unregistered_int_widths_round_trip(
+        self, bits, packed_setup, tmp_path
+    ):
+        # int5/6/7 are not registry entries; their archives must still
+        # load, to the exact same weights.
+        _, _, base = packed_setup
+        layers = {
+            name: FormatLinear.from_weight(
+                layer.dequantize(), "int", 8, bits=bits
+            )
+            for name, layer in base.layers.items()
+        }
+        packed = PackedModel(base.config, layers, base.full_precision)
+        loaded = PackedModel.load(packed.save(tmp_path / f"int{bits}.npz"))
+        for name, layer in packed.layers.items():
+            assert loaded.layers[name].format_name == f"int{bits}"
+            assert np.array_equal(
+                loaded.layers[name].dequantize(), layer.dequantize()
+            )
+
+    def test_int_archive_without_format_key_loads(self, packed_setup, tmp_path):
+        # Archives from before int layers named their format carry int
+        # headers with only bits/group_size/shape, over the same arrays.
+        _, _, packed = packed_setup
+        payload = {}
+        layers_meta = {}
+        for name, layer in packed.layers.items():
+            for key in ("codes", "scales", "zeros"):
+                payload[f"packed/{name}/{key}"] = layer.arrays[key]
+            layers_meta[name] = {
+                "bits": layer.bits,
+                "group_size": layer.group_size,
+                "shape": list(layer.shape),
+            }
+        for name, array in packed.full_precision.items():
+            payload[f"fp/{name}"] = array.astype(np.float16)
+        header = {"config": packed.config.to_dict(), "layers": layers_meta}
+        path = save_arrays(tmp_path / "legacy.npz", payload, header)
+        loaded = PackedModel.load(path)
+        for name, layer in packed.layers.items():
+            assert loaded.layers[name].format_name == f"int{layer.bits}"
+            assert np.array_equal(
+                loaded.layers[name].dequantize(), layer.dequantize()
+            )
 
     def test_loaded_model_evaluates_close(
         self, packed_setup, tmp_path, corpus_splits
@@ -148,7 +204,7 @@ class TestRoundTrip:
         for name, linear in model.quantizable_linears().items():
             q = packed.layers[name]
             error = np.abs(q.dequantize() - linear.weight.data)
-            scales = q.scales.astype(np.float64)
+            scales = q.arrays["scales"].astype(np.float64)
             group_of_row = np.minimum(
                 np.arange(q.shape[0]) // q.group_size, scales.shape[0] - 1
             )

@@ -5,8 +5,8 @@ single-element groups, single-row/column matrices, and adversarial value
 distributions — replay the shared conformance obligations of
 ``tests/format_conformance.py`` on every registered format, plus the
 invariants hypothesis is uniquely good at: pack/unpack byte-identity
-under arbitrary geometry, the int family's bit-identity with the legacy
-layer, and the 2:4 structural guarantee.
+under arbitrary geometry, the int family's bit-identity with
+first-principles affine dequantization, and the 2:4 structural guarantee.
 """
 
 import numpy as np
@@ -17,9 +17,10 @@ from format_conformance import run_conformance
 from repro.quant.formats import (
     available_formats,
     get_format,
+    group_of_row,
     resolve_format,
 )
-from repro.quant.qlinear import QuantizedLinear
+from repro.quant.groupwise import quantize_groupwise
 
 
 @st.composite
@@ -60,9 +61,17 @@ class TestConformanceProperties:
         weight, group_size = case
         fmt = resolve_format("int", bits)
         tensor = fmt.encode(weight, group_size)
-        legacy = QuantizedLinear.from_weight(weight, bits, group_size)
-        assert np.array_equal(tensor.codes, legacy.codes())
-        assert np.array_equal(fmt.decode(tensor), legacy.dequantize())
+        # Oracle: quantize_groupwise codes on fp16-cast grids, decoded as
+        # (codes - z[rows]) * s[rows] in float64.
+        reference = quantize_groupwise(weight, bits, group_size)
+        scales = reference.scales.astype(np.float16).astype(np.float64)
+        zeros = reference.zeros.astype(np.float16).astype(np.float64)
+        rows = group_of_row(
+            weight.shape[0], reference.group_size, reference.n_groups
+        )
+        dense = (reference.codes - zeros[rows]) * scales[rows]
+        assert np.array_equal(tensor.codes, reference.codes)
+        assert np.array_equal(fmt.decode(tensor), dense)
         run_conformance(fmt, weight, group_size)
 
     @given(case=weight_cases())

@@ -4,7 +4,7 @@ Every format registered in :mod:`repro.quant.formats` is run through the
 shared obligations of ``tests/format_conformance.py`` (round trip within
 the declared error bound, pack/unpack byte-identity, code-domain safety,
 checksummed serialization), plus the format-specific oracles: bit-identity
-against :class:`~repro.quant.qlinear.QuantizedLinear` for the int family,
+with first-principles affine dequantization for the int family,
 dense-equivalence for the 2:4 sparse format, and clip accounting for the
 percentile-observed LUT format.  Registering a new format without
 conformance coverage is therefore a tier-1 failure, not a review comment.
@@ -37,7 +37,6 @@ from repro.quant.formats import (
 )
 from repro.quant.groupwise import quantize_groupwise
 from repro.quant.observer import PercentileObserver, get_observer
-from repro.quant.qlinear import QuantizedLinear
 from repro.runtime.errors import CheckpointError
 
 BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_quantize.json"
@@ -177,17 +176,27 @@ class TestRegistry:
 class TestIntBitIdentity:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_matches_quantized_linear_exactly(self, bits):
+        # Oracle: the packed int layer's arithmetic from first principles —
+        # quantize_groupwise codes on fp16-cast grids, decoded as
+        # (codes - z[rows]) * s[rows] in float64.
         weight = seeded_weight((37, 11), seed=4)
         fmt = get_format(f"int{bits}")
         tensor = fmt.encode(weight, 8)
-        legacy = QuantizedLinear.from_weight(weight, bits, 8)
-        assert np.array_equal(tensor.codes, legacy.codes())
-        assert np.array_equal(tensor.scales, legacy.scales)
-        assert np.array_equal(tensor.zeros, legacy.zeros)
-        assert np.array_equal(fmt.decode(tensor), legacy.dequantize())
-        linear = FormatLinear(fmt, tensor)
+        reference = quantize_groupwise(weight, bits, 8)
+        scales = reference.scales.astype(np.float16)
+        zeros = reference.zeros.astype(np.float16)
+        rows = group_of_row(37, 8, reference.n_groups)
+        dense = (
+            reference.codes.astype(np.float64)
+            - zeros.astype(np.float64)[rows]
+        ) * scales.astype(np.float64)[rows]
+        assert np.array_equal(tensor.codes, reference.codes)
+        assert np.array_equal(tensor.scales, scales)
+        assert np.array_equal(tensor.zeros, zeros)
+        assert np.array_equal(fmt.decode(tensor), dense)
+        linear = FormatLinear.from_tensor(fmt, tensor)
         x = seeded_weight((5, 37), seed=5)
-        assert np.array_equal(linear.forward_array(x), legacy.forward_array(x))
+        assert np.array_equal(linear.forward_array(x), x @ dense)
 
 
 class TestSparse24:
@@ -211,7 +220,7 @@ class TestSparse24:
         assert np.array_equal(fmt.decode(tensor), dense)
         x = seeded_weight((4, 36), seed=7)
         assert np.array_equal(
-            FormatLinear(fmt, tensor).forward_array(x), x @ dense
+            FormatLinear.from_tensor(fmt, tensor).forward_array(x), x @ dense
         )
 
     def test_mask_is_structurally_2_of_4(self):
@@ -362,8 +371,11 @@ class TestEndToEnd:
             format_results=result.format_results,
         )
         for name, tensor in result.format_results.items():
-            assert isinstance(packed.layers[name], FormatLinear)
-            assert_tensors_equal(packed.layers[name].tensor, tensor)
+            layer = packed.layers[name]
+            assert isinstance(layer, FormatLinear)
+            assert_tensors_equal(
+                layer.format.unpack_payload(layer.arrays, layer.meta), tensor
+            )
         loaded = PackedModel.load(packed.save(tmp_path / "aptq.npz"))
         ppl = perplexity(loaded.to_model(), stream, seq_len=16)
         assert np.isfinite(ppl) and ppl > 0

@@ -1,12 +1,48 @@
-"""Tests for the packed QuantizedLinear representation."""
+"""Tests for packed int-k layers: ``FormatLinear`` over an ``IntFormat``."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.quant.formats import FormatLinear, IntFormat, available_formats
 from repro.quant.groupwise import quantize_groupwise
-from repro.quant.qlinear import QuantizedLinear
+
+
+def int_layer(result):
+    """Pack a group-quantization result as an int FormatLinear."""
+    fmt = IntFormat(result.bits)
+    return FormatLinear.from_tensor(fmt, fmt.from_group_result(result))
+
+
+def stored_codes(layer):
+    """The ``(d_in, d_out)`` codes held in the layer's packed payload."""
+    return layer.format.unpack_payload(layer.arrays, layer.meta).codes
+
+
+def uncached_decode(layer):
+    """Dense weight decoded afresh from the current payload."""
+    return layer.format.decode(
+        layer.format.unpack_payload(layer.arrays, layer.meta)
+    )
+
+
+def holds_ndarray(value):
+    """Whether ``value`` is, or (in a container/dataclass) holds, an ndarray."""
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        return any(holds_ndarray(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(holds_ndarray(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return any(
+            holds_ndarray(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        )
+    return False
 
 
 class TestRoundTrip:
@@ -23,113 +59,119 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(d_in, 6))
         result = quantize_groupwise(w, bits, group_size)
-        ql = QuantizedLinear.from_group_result(result)
-        assert np.array_equal(ql.codes(), result.codes)
-        assert np.allclose(ql.dequantize(), result.dequantize(), atol=1e-2)
+        layer = int_layer(result)
+        assert np.array_equal(stored_codes(layer), result.codes)
+        assert np.allclose(layer.dequantize(), result.dequantize(), atol=1e-2)
 
     def test_codes_survive_packing(self, rng):
         w = rng.normal(size=(64, 12))
         result = quantize_groupwise(w, 4, 16)
-        ql = QuantizedLinear.from_group_result(result)
-        assert np.array_equal(ql.codes(), result.codes)
+        layer = int_layer(result)
+        assert np.array_equal(stored_codes(layer), result.codes)
 
     def test_dequantize_close_to_float_grids(self, rng):
         # Grids are stored fp16, so reconstruction differs only by fp16
         # rounding of scales/zeros.
         w = rng.normal(size=(64, 12))
         result = quantize_groupwise(w, 4, 16)
-        ql = QuantizedLinear.from_group_result(result)
-        assert np.allclose(ql.dequantize(), result.dequantize(), atol=1e-2)
+        layer = int_layer(result)
+        assert np.allclose(layer.dequantize(), result.dequantize(), atol=1e-2)
 
     def test_from_weight_convenience(self, rng):
         w = rng.normal(size=(32, 8))
-        ql = QuantizedLinear.from_weight(w, 2, 16)
-        assert ql.bits == 2
-        assert ql.shape == (32, 8)
+        layer = FormatLinear.from_weight(w, "int", 16, bits=2)
+        assert layer.bits == 2
+        assert layer.shape == (32, 8)
+        assert layer.format_name == "int2"
 
     def test_forward_matches_dequantized_matmul(self, rng):
         w = rng.normal(size=(16, 6))
-        ql = QuantizedLinear.from_weight(w, 4, 8)
+        layer = FormatLinear.from_weight(w, "int4", 8)
         x = rng.normal(size=(5, 16))
-        assert np.allclose(ql.forward_array(x), x @ ql.dequantize())
+        assert np.allclose(layer.forward_array(x), x @ layer.dequantize())
 
 
 class TestLutAndCache:
-    def test_lut_bitwise_equals_direct(self, rng):
-        # Only 2**bits distinct codes exist, and each table entry is the
-        # identical float op the direct path performs — so the gather must
-        # be bit-for-bit equal, including the ragged last group.
-        for bits, group_size in [(2, 16), (3, 8), (4, 24), (8, 16)]:
-            w = rng.normal(size=(56, 10))
-            ql = QuantizedLinear.from_weight(w, bits, group_size)
-            assert np.array_equal(
-                ql._dequantize_lut(), ql._dequantize_direct()
-            ), (bits, group_size)
-
-    def test_wide_codes_fall_back_to_direct(self, rng):
-        w = rng.normal(size=(32, 6))
-        ql = QuantizedLinear.from_weight(w, 12, 16)
-        assert np.array_equal(ql.dequantize(), ql._dequantize_direct())
+    """The memoised dense weight of a packed layer."""
 
     def test_forward_reuses_cached_weight(self, rng):
         w = rng.normal(size=(32, 8))
-        ql = QuantizedLinear.from_weight(w, 4, 16)
+        layer = FormatLinear.from_weight(w, "int4", 16)
         x = rng.normal(size=(3, 32))
-        ql.forward_array(x)
-        cached = ql._dense_cache
+        layer.forward_array(x)
+        cached = layer._dense_cache
         assert cached is not None
-        ql.forward_array(x)
-        assert ql._dense_cache is cached  # same array, no rebuild
+        layer.forward_array(x)
+        assert layer._dense_cache is cached  # same array, no rebuild
 
     def test_cache_invalidated_on_mutation(self, rng):
         w = rng.normal(size=(32, 8))
-        ql = QuantizedLinear.from_weight(w, 4, 16)
+        layer = FormatLinear.from_weight(w, "int4", 16)
         x = rng.normal(size=(3, 32))
-        before = ql.forward_array(x)
-        ql.packed[0] ^= np.uint32(0b1111)  # flip the first stored code
-        after = ql.forward_array(x)
+        before = layer.forward_array(x)
+        layer.arrays["codes"][0] ^= np.uint32(0b1111)  # flip the first code
+        after = layer.forward_array(x)
         assert not np.array_equal(before, after)
-        assert np.array_equal(after, x @ ql._dequantize_direct())
-        ql.scales[0, 0] = np.float16(2.0) * ql.scales[0, 0]
+        assert np.array_equal(after, x @ uncached_decode(layer))
+        scales = layer.arrays["scales"]
+        scales[0, 0] = np.float16(2.0) * scales[0, 0]
         assert np.array_equal(
-            ql.forward_array(x), x @ ql._dequantize_direct()
+            layer.forward_array(x), x @ uncached_decode(layer)
         )
 
     def test_cached_dense_weight_is_read_only(self, rng):
         # The memoized dense weight is returned by reference on every
         # forward; writing through it would poison all later calls.
         w = rng.normal(size=(32, 8))
-        ql = QuantizedLinear.from_weight(w, 4, 16)
-        ql.forward_array(rng.normal(size=(3, 32)))
-        assert not ql._dense_cache.flags.writeable
+        layer = FormatLinear.from_weight(w, "int4", 16)
+        layer.forward_array(rng.normal(size=(3, 32)))
+        assert not layer._dense_cache.flags.writeable
         with pytest.raises(ValueError):
-            ql._dense_cache[0, 0] = 123.0
+            layer._dense_cache[0, 0] = 123.0
 
     def test_dequantize_returns_writable_copy(self, rng):
         w = rng.normal(size=(16, 4))
-        ql = QuantizedLinear.from_weight(w, 4, 8)
-        dense = ql.dequantize()
+        layer = FormatLinear.from_weight(w, "int4", 8)
+        dense = layer.dequantize()
         dense[0, 0] = 123.0  # must not poison the cache
-        assert ql.dequantize()[0, 0] != 123.0
-        assert np.array_equal(ql.dequantize(), ql._dequantize_direct())
+        assert layer.dequantize()[0, 0] != 123.0
+        assert np.array_equal(layer.dequantize(), uncached_decode(layer))
+
+    @pytest.mark.parametrize("name", available_formats() + ("int5",))
+    def test_state_is_payload_only(self, name, rng):
+        # The packed payload is the layer's only array state: no unpacked
+        # int64 codes ride along (8 bytes per weight).  The format object
+        # is the shared registry value, not per-layer state.
+        layer = FormatLinear.from_weight(rng.normal(size=(24, 6)), name, 8)
+
+        def stray():
+            return sorted(
+                attr
+                for attr, value in vars(layer).items()
+                if attr not in ("format", "arrays") and holds_ndarray(value)
+            )
+
+        assert stray() == []
+        layer.forward_array(rng.normal(size=(2, 24)))
+        assert stray() == ["_dense_cache"]
 
 
 class TestStorage:
     def test_4bit_compression_ratio(self, rng):
         w = rng.normal(size=(256, 256))
-        ql = QuantizedLinear.from_weight(w, 4, 32)
+        layer = FormatLinear.from_weight(w, "int4", 32)
         # fp16 dense = 128 KiB; 4-bit codes = 32 KiB + grids.
-        assert 3.0 < ql.compression_ratio() < 4.0
+        assert 3.0 < w.size * 2 / layer.storage_bytes() < 4.0
 
     def test_2bit_smaller_than_4bit(self, rng):
         w = rng.normal(size=(256, 64))
-        q2 = QuantizedLinear.from_weight(w, 2, 32)
-        q4 = QuantizedLinear.from_weight(w, 4, 32)
+        q2 = FormatLinear.from_weight(w, "int2", 32)
+        q4 = FormatLinear.from_weight(w, "int4", 32)
         assert q2.storage_bytes() < q4.storage_bytes()
 
     def test_storage_bytes_accounting(self, rng):
         w = rng.normal(size=(64, 10))
-        ql = QuantizedLinear.from_weight(w, 4, 32)
+        layer = FormatLinear.from_weight(w, "int4", 32)
         expected_codes = (64 * 10 * 4 + 31) // 32 * 4
         expected_grids = 2 * (2 * 10) * 2
-        assert ql.storage_bytes() == expected_codes + expected_grids
+        assert layer.storage_bytes() == expected_codes + expected_grids
