@@ -29,7 +29,7 @@ approximated.
 
 This path is *error-bounded*, not bit-identical: the approximation error
 and its downstream perplexity effect are measured by
-``benchmarks/perf/calibration_speed.py`` and committed as the
+:func:`repro.report.bench.calibration_bench_records` and committed as the
 ``calibration-kron`` bench record with declared bounds.
 """
 

@@ -61,7 +61,6 @@ from repro.quant.solver import (
     SolverResult,
     hessian_fingerprint,
     quantize_with_hessian,
-    quantize_with_hessian_blocked,
     quantize_with_hessian_reference,
 )
 from repro.quant.rtn import rtn_quantize_layer, rtn_quantize_model
@@ -105,7 +104,6 @@ __all__ = [
     "HessianFactorCache",
     "hessian_fingerprint",
     "quantize_with_hessian",
-    "quantize_with_hessian_blocked",
     "quantize_with_hessian_reference",
     "rtn_quantize_layer",
     "rtn_quantize_model",

@@ -17,7 +17,7 @@ what isolates APTQ's contribution in the ablations.
 Weights here are ``(d_in, d_out)`` so "channels" are rows; this corresponds
 one-to-one to the column sweep in the papers' ``(d_out, d_in)`` convention.
 
-Execution modes
+Sweep schedules
 ---------------
 Two sweep schedules implement the *same* arithmetic (see
 ``docs/PERFORMANCE.md`` and ``tests/test_quant_differential.py``, which
@@ -26,17 +26,18 @@ bit-for-bit equal over a seeded problem matrix; the scalar
 ``compensated_loss`` diagnostic matches to machine precision, not bitwise,
 because it sums error vectors whose trailing ulps depend on the schedule):
 
-* ``mode="reference"`` — the textbook column-at-a-time sweep: every
-  channel's error immediately compensates the entire trailing matrix with
-  a rank-1 update.  Obviously correct, memory-bound (the trailing matrix
-  streams through cache once per channel).
-* ``mode="blocked"`` (default) — GPTQ's lazy-batch schedule, two-level:
+* :func:`quantize_with_hessian_reference` — the textbook column-at-a-time
+  sweep: every channel's error immediately compensates the entire trailing
+  matrix with a rank-1 update.  Obviously correct, memory-bound (the
+  trailing matrix streams through cache once per channel); it is the
+  oracle the tests and the ``solver-512x512`` bench record compare against.
+* :func:`quantize_with_hessian` — GPTQ's lazy-batch schedule, two-level:
   rank-1 updates stay inside a ``MICRO_BLOCKSIZE`` tile, each tile flushes
   into the rest of its ``blocksize`` block with one small matrix product,
   and each block flushes into the trailing matrix with one rank-``B``
   product (a single BLAS GEMM instead of ``B`` full-width rank-1 passes).
 
-Both modes quantize against **static group grids**: every group's
+Both schedules quantize against **static group grids**: every group's
 scale/zero-point is fitted up front on the (dead-channel-zeroed, optionally
 permuted) original weights, exactly like GPTQ's ``--static-groups`` option.
 Static grids are what make the schedules bit-identical — a grid fitted on
@@ -66,7 +67,6 @@ from repro.quant.uniform import QuantParams, dequantize, quantize
 
 __all__ = [
     "MICRO_BLOCKSIZE",
-    "SOLVER_MODES",
     "SolverResult",
     "HessianFactor",
     "HessianFactorCache",
@@ -76,15 +76,10 @@ __all__ = [
     "factorize_hessian",
     "quantize_with_hessian",
     "quantize_with_hessian_reference",
-    "quantize_with_hessian_blocked",
 ]
 
 #: Width of the eager rank-1 tile inside a lazy block (see module docstring).
 MICRO_BLOCKSIZE = 16
-
-#: Recognised sweep schedules of :func:`quantize_with_hessian`.
-SOLVER_MODES = ("blocked", "reference")
-
 
 @dataclasses.dataclass
 class SolverResult:
@@ -333,13 +328,10 @@ def _sweep_reference(
         codes[row] = row_codes
         quantized[row] = row_quant
         err = (working[row] - row_quant) / inv_upper[row, row]
-        # Row order is the algorithm itself (each row compensates its
-        # successors); tasks never split a layer, and the parallel path is
-        # proven bit-identical by tests/test_quant_differential.py.
-        loss += 0.5 * float((err**2).sum())  # lint: disable=wp-order-dependent-reduction
+        loss += 0.5 * float((err**2).sum())
         # Compensate every remaining channel immediately (Eq. (17)).
         if row + 1 < d_in:
-            working[row + 1 :] -= np.outer(inv_upper[row, row + 1 :], err)  # lint: disable=wp-order-dependent-reduction
+            working[row + 1 :] -= np.outer(inv_upper[row, row + 1 :], err)
     return quantized, codes, loss
 
 
@@ -407,36 +399,22 @@ def _sweep_blocked(
     return quantized, codes, loss
 
 
-def quantize_with_hessian(
+def _prepare(
     weight: np.ndarray,
     hessian: np.ndarray,
     bits: int,
-    group_size: int | None = None,
-    blocksize: int = 128,
-    percdamp: float = 0.01,
-    actorder: bool = False,
-    mode: str = "blocked",
-    cache: HessianFactorCache | None = None,
-    hessian_scale: float = 1.0,
-) -> SolverResult:
-    """Quantize ``weight`` with error compensation driven by ``hessian``.
+    group_size: int | None,
+    percdamp: float,
+    actorder: bool,
+    cache: HessianFactorCache | None,
+    hessian_scale: float,
+) -> tuple:
+    """Validate, factorize, and fit the static grids of one solve.
 
-    Parameters mirror GPTQ: ``group_size`` for the quantization grid
-    granularity, ``blocksize`` for the lazy-batched update, ``percdamp`` for
-    diagonal damping, ``actorder`` to process channels by decreasing Hessian
-    diagonal (GPTQ's ``--act-order``).  ``mode`` selects the sweep schedule
-    (``"blocked"`` fast path or the ``"reference"`` column loop — both
-    produce bit-identical results, see module docstring); ``cache`` reuses
-    Cholesky factors across calls sharing a Hessian.  ``hessian_scale``
-    quantizes against ``hessian_scale · hessian`` without materialising the
-    product (the KronQ per-head Hessians are positive multiples of one
-    shared input Gram, so all heads reuse a single cached factorization).
-
-    Bits:
-        bits: i64[1, 32]
-        group_size: i64[1, *]
-        blocksize: i64[1, *]
-        return: any
+    Returns the float64 weight, the working copy a sweep compensates in
+    place (dead channels zeroed, rows in ``actorder`` order), the Hessian
+    factor, the resolved group size, and the static grids with their
+    scale/zero arrays.
     """
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 2:
@@ -446,10 +424,6 @@ def quantize_with_hessian(
         raise ValueError(
             f"hessian shape {hessian.shape} does not match d_in={d_in}"
         )
-    if mode not in SOLVER_MODES:
-        raise ValueError(f"mode must be one of {SOLVER_MODES}, got {mode!r}")
-    if blocksize <= 0:
-        raise ValueError("blocksize must be positive")
     group_size = resolve_group_size(d_in, group_size)
 
     if cache is not None:
@@ -466,23 +440,28 @@ def quantize_with_hessian(
 
     working = weight.copy()
     working[factor.dead, :] = 0.0
-    permutation = factor.permutation
-    if permutation is not None:
-        working = working[permutation]
+    if factor.permutation is not None:
+        working = working[factor.permutation]
+    grids = _static_group_grids(working, group_size, bits)
+    return weight, working, factor, group_size, grids
 
-    grids, scales, zeros = _static_group_grids(working, group_size, bits)
-    if mode == "reference":
-        quantized, codes, compensated_loss = _sweep_reference(
-            working, factor.inv_upper, grids, group_size
-        )
-    else:
-        quantized, codes, compensated_loss = _sweep_blocked(
-            working, factor.inv_upper, grids, group_size, blocksize
-        )
 
-    # Codes/scales stay in the (possibly permuted) sweep layout — grids were
-    # fitted in that order — while the dense weight is returned row-aligned;
-    # the permutation on the result links the two.
+def _solver_result(
+    weight: np.ndarray,
+    factor: HessianFactor,
+    group_size: int,
+    bits: int,
+    grids: tuple[list[QuantParams], np.ndarray, np.ndarray],
+    swept: tuple[np.ndarray, np.ndarray, float],
+) -> SolverResult:
+    """Assemble one sweep's output into a :class:`SolverResult`.
+
+    Codes/scales stay in the (possibly permuted) sweep layout — grids were
+    fitted in that order — while the dense weight is returned row-aligned;
+    the permutation on the result links the two.
+    """
+    quantized, codes, compensated_loss = swept
+    _, scales, zeros = grids
     group_result = GroupQuantResult(
         codes=codes,
         scales=scales,
@@ -490,6 +469,7 @@ def quantize_with_hessian(
         bits=bits,
         group_size=group_size,
     )
+    permutation = factor.permutation
     if permutation is not None:
         quantized = quantized[np.argsort(permutation)]
 
@@ -503,6 +483,54 @@ def quantize_with_hessian(
     )
 
 
+def quantize_with_hessian(
+    weight: np.ndarray,
+    hessian: np.ndarray,
+    bits: int,
+    group_size: int | None = None,
+    blocksize: int = 128,
+    percdamp: float = 0.01,
+    actorder: bool = False,
+    cache: HessianFactorCache | None = None,
+    hessian_scale: float = 1.0,
+) -> SolverResult:
+    """Quantize ``weight`` with error compensation driven by ``hessian``.
+
+    Parameters mirror GPTQ: ``group_size`` for the quantization grid
+    granularity, ``blocksize`` for the lazy-batched update, ``percdamp`` for
+    diagonal damping, ``actorder`` to process channels by decreasing Hessian
+    diagonal (GPTQ's ``--act-order``).  The sweep is the lazy-batch blocked
+    schedule, bit-identical to :func:`quantize_with_hessian_reference` (see
+    module docstring); ``cache`` reuses Cholesky factors across calls
+    sharing a Hessian.  ``hessian_scale`` quantizes against
+    ``hessian_scale · hessian`` without materialising the product (the
+    KronQ per-head Hessians are positive multiples of one shared input
+    Gram, so all heads reuse a single cached factorization).
+
+    Bits:
+        bits: i64[1, 32]
+        group_size: i64[1, *]
+        blocksize: i64[1, *]
+        return: any
+    """
+    if blocksize <= 0:
+        raise ValueError("blocksize must be positive")
+    weight, working, factor, group_size, grids = _prepare(
+        weight,
+        hessian,
+        bits,
+        group_size,
+        percdamp,
+        actorder,
+        cache,
+        hessian_scale,
+    )
+    swept = _sweep_blocked(
+        working, factor.inv_upper, grids[0], group_size, blocksize
+    )
+    return _solver_result(weight, factor, group_size, bits, grids, swept)
+
+
 def quantize_with_hessian_reference(
     weight: np.ndarray,
     hessian: np.ndarray,
@@ -513,37 +541,8 @@ def quantize_with_hessian_reference(
     cache: HessianFactorCache | None = None,
 ) -> SolverResult:
     """Column-at-a-time solver: the slow, obviously-correct specification."""
-    return quantize_with_hessian(
-        weight,
-        hessian,
-        bits=bits,
-        group_size=group_size,
-        percdamp=percdamp,
-        actorder=actorder,
-        mode="reference",
-        cache=cache,
+    weight, working, factor, group_size, grids = _prepare(
+        weight, hessian, bits, group_size, percdamp, actorder, cache, 1.0
     )
-
-
-def quantize_with_hessian_blocked(
-    weight: np.ndarray,
-    hessian: np.ndarray,
-    bits: int,
-    group_size: int | None = None,
-    blocksize: int = 128,
-    percdamp: float = 0.01,
-    actorder: bool = False,
-    cache: HessianFactorCache | None = None,
-) -> SolverResult:
-    """Lazy-batch blocked solver: the fast path (see module docstring)."""
-    return quantize_with_hessian(
-        weight,
-        hessian,
-        bits=bits,
-        group_size=group_size,
-        blocksize=blocksize,
-        percdamp=percdamp,
-        actorder=actorder,
-        mode="blocked",
-        cache=cache,
-    )
+    swept = _sweep_reference(working, factor.inv_upper, grids[0], group_size)
+    return _solver_result(weight, factor, group_size, bits, grids, swept)

@@ -7,8 +7,9 @@ from repro.report.health import format_run_health
 from repro.report.bench import (
     BENCH_SCHEMA_VERSION,
     best_of,
-    build_quantize_report,
+    build_report,
     eval_bench_records,
+    format_record,
     pipeline_bench_record,
     solver_bench_records,
     validate_bench_report,
@@ -24,8 +25,9 @@ __all__ = [
     "format_run_health",
     "BENCH_SCHEMA_VERSION",
     "best_of",
-    "build_quantize_report",
+    "build_report",
     "eval_bench_records",
+    "format_record",
     "pipeline_bench_record",
     "solver_bench_records",
     "validate_bench_report",

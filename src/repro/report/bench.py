@@ -1,20 +1,24 @@
 """Benchmark harness for the quantization hot paths.
 
-Produces the ``BENCH_quantize.json`` perf-trajectory artifact at the repo
-root (via ``tools/bench.py``): a schema-versioned report comparing the
+Produces the ``BENCH_<suite>.json`` perf-trajectory artifacts at the repo
+root (via ``tools/bench.py``): schema-versioned reports comparing the
 lazy-batch blocked solver against the column-at-a-time reference sweep,
 the Cholesky factor cache against cold factorization, the inference fast
 paths (fused NLL, KV-cached decoding, memoised packed forward) against
 their unfused/uncached twins, the parallel APTQ executor against serial
-execution, and the calibration fast path (streamed captures, batched
-probes, the Kronecker-factored Hessian engine) against the legacy
-per-block protocol.  Every timed pair is also checked for bit-identical
-output, so the artifact doubles as a coarse correctness record — a
-speedup bought by numeric drift would be visible right in the report.
-Approximation tiers that are close-by-design rather than identical (the
-kron engine, fp-summation-order changes) instead carry an
-``equivalence`` block: measured error metrics certified against declared
-bounds, re-checked every time the report is rebuilt.
+execution, the calibration fast path (streamed captures, batched probes,
+the Kronecker-factored Hessian engine) against the legacy per-block
+protocol, and the serving layer against serial decoding.
+
+Every record goes through one measure protocol, :func:`_measure`: run the
+reference and the fast side once, compare their outputs, then time both.
+A bit-identical pair carries ``bit_identical: true``, so a speedup bought
+by numeric drift would be visible right in the report.  Approximation
+tiers that are close-by-design rather than identical (the kron engine,
+fp-summation-order changes) instead carry an ``equivalence`` block:
+measured error metrics certified against declared bounds, re-checked
+every time the report is rebuilt.  :func:`build_report` runs the record
+groups of one suite from a single suite table.
 
 Timing methodology: ``best_of`` takes the *minimum* of ``repeats`` runs of
 a zero-argument callable under ``time.perf_counter`` — the standard way to
@@ -37,10 +41,9 @@ import numpy as np
 
 from repro.quant.solver import (
     MICRO_BLOCKSIZE,
-    SOLVER_MODES,
     HessianFactorCache,
     factorize_hessian,
-    quantize_with_hessian_blocked,
+    quantize_with_hessian,
     quantize_with_hessian_reference,
 )
 
@@ -54,9 +57,8 @@ __all__ = [
     "pipeline_bench_record",
     "calibration_bench_records",
     "serve_bench_records",
-    "build_quantize_report",
-    "build_serve_report",
-    "build_calibration_report",
+    "build_report",
+    "format_record",
     "validate_bench_report",
     "write_bench_report",
     "append_bench_history",
@@ -64,11 +66,11 @@ __all__ = [
     "render_bench_trend",
 ]
 
-#: Version of the ``BENCH_quantize.json`` schema (bump on shape changes).
+#: Version of the ``BENCH_<suite>.json`` schema (bump on shape changes).
 BENCH_SCHEMA_VERSION = 1
 
-#: Suites a bench report may declare (one JSON artifact per suite).
-BENCH_SUITES = ("quantize", "serve", "calibration")
+#: Seed of every bench workload (recorded in each record's ``params``).
+SEED = 0
 
 #: Keys every record must carry (checked by :func:`validate_bench_report`).
 _RECORD_KEYS = ("name", "kind", "params", "timings", "speedup", "bit_identical")
@@ -76,14 +78,21 @@ _RECORD_KEYS = ("name", "kind", "params", "timings", "speedup", "bit_identical")
 
 def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
     """Minimum wall-clock seconds of ``repeats`` calls to ``fn``."""
+    return _fastest(fn, repeats)[0]
+
+
+def _fastest(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
+    """:func:`best_of` that also returns the fastest call's output."""
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    timings = []
+    fastest: tuple[float, object] = (float("inf"), None)
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
-        timings.append(time.perf_counter() - start)
-    return min(timings)
+        output = fn()
+        elapsed = time.perf_counter() - start
+        if elapsed < fastest[0]:
+            fastest = (elapsed, output)
+    return fastest
 
 
 def _best_of_pair(
@@ -108,364 +117,6 @@ def _best_of_pair(
     return min(timings[0]), min(timings[1])
 
 
-def _random_problem(
-    d_in: int, d_out: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random weight and a well-conditioned PSD Hessian for timing runs."""
-    rng = np.random.default_rng(seed)
-    weight = rng.standard_normal((d_in, d_out))
-    basis = rng.standard_normal((d_in, d_in))
-    hessian = basis @ basis.T / d_in + 0.1 * np.eye(d_in)
-    return weight, hessian
-
-
-def _results_bit_identical(a, b) -> bool:
-    """Whether two solver results agree exactly (codes, grids, weights)."""
-    return (
-        np.array_equal(a.quantized_weight, b.quantized_weight)
-        and np.array_equal(a.group_result.codes, b.group_result.codes)
-        and np.array_equal(a.group_result.scales, b.group_result.scales)
-        and np.array_equal(a.group_result.zeros, b.group_result.zeros)
-    )
-
-
-def solver_bench_records(
-    d_in: int = 512,
-    d_out: int = 512,
-    bits: int = 4,
-    group_size: int = 32,
-    blocksize: int = 128,
-    repeats: int = 3,
-    seed: int = 0,
-) -> list[dict]:
-    """Time blocked-vs-reference sweeps and warm-vs-cold factorization.
-
-    Returns two records: ``solver-<d_in>x<d_out>`` (the smoke case the
-    acceptance bar reads) and ``factor-cache-<d_in>`` (the shared-Hessian
-    reuse this PR wires through Q/K/V).
-    """
-    weight, hessian = _random_problem(d_in, d_out, seed)
-    params = {
-        "d_in": d_in,
-        "d_out": d_out,
-        "bits": bits,
-        "group_size": group_size,
-        "blocksize": blocksize,
-        "micro_blocksize": MICRO_BLOCKSIZE,
-        "repeats": repeats,
-        "seed": seed,
-    }
-
-    reference = quantize_with_hessian_reference(
-        weight, hessian, bits=bits, group_size=group_size
-    )
-    blocked = quantize_with_hessian_blocked(
-        weight, hessian, bits=bits, group_size=group_size, blocksize=blocksize
-    )
-    ref_seconds = best_of(
-        lambda: quantize_with_hessian_reference(
-            weight, hessian, bits=bits, group_size=group_size
-        ),
-        repeats,
-    )
-    blocked_seconds = best_of(
-        lambda: quantize_with_hessian_blocked(
-            weight,
-            hessian,
-            bits=bits,
-            group_size=group_size,
-            blocksize=blocksize,
-        ),
-        repeats,
-    )
-    solver_record = {
-        "name": f"solver-{d_in}x{d_out}",
-        "kind": "solver",
-        "params": params,
-        "timings": {"reference": ref_seconds, "blocked": blocked_seconds},
-        "speedup": ref_seconds / blocked_seconds,
-        "bit_identical": _results_bit_identical(reference, blocked),
-    }
-
-    # Factor-cache effect: cold factorization per call vs one shared factor
-    # (the Q/K/V pattern after the shared-Gram dedup).  The direct call is
-    # the point of the measurement, hence the suppression.
-    cache = HessianFactorCache()
-    cold_seconds = best_of(
-        lambda: factorize_hessian(hessian),  # lint: disable=perf-raw-factorization
-        repeats,
-    )
-    cache.factor(hessian, 0.01, False)
-    warm_seconds = best_of(lambda: cache.factor(hessian, 0.01, False), repeats)
-    cache_record = {
-        "name": f"factor-cache-{d_in}",
-        "kind": "factor-cache",
-        "params": {"d_in": d_in, "repeats": repeats, "seed": seed},
-        "timings": {"cold": cold_seconds, "warm": warm_seconds},
-        "speedup": cold_seconds / warm_seconds,
-        "bit_identical": True,  # cache hits return the stored factor itself
-    }
-    return [solver_record, cache_record]
-
-
-def eval_bench_records(
-    repeats: int = 3,
-    seed: int = 0,
-    vocab: int = 4096,
-    generate_tokens: int = 192,
-    packed_size: int = 512,
-) -> list[dict]:
-    """Time the inference/evaluation fast paths against their slow twins.
-
-    Three records, each re-checking its equivalence claim at measure time:
-
-    * ``eval-perplexity`` — fused :func:`repro.nn.functional.gather_nll`
-      vs the unfused log-softmax-then-gather reference on a
-      ``(8, 128, vocab)`` logit block (bit-identical by the shared max
-      shift and reduction order);
-    * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
-      paged-KV-cache :meth:`generate_cached` decode (one prefill, then one
-      :meth:`forward_cached` per token; token-for-token equal);
-    * ``packed-forward-<N>x<N>`` — per-call unpack-decode-then-matmul vs
-      the memoised dense weight of an int4
-      :class:`~repro.quant.formats.FormatLinear` (bit-identical outputs).
-    """
-    from repro.nn import functional as F
-    from repro.nn.transformer import LlamaConfig, LlamaModel
-    from repro.quant.formats import FormatLinear
-
-    rng = np.random.default_rng(seed)
-    records = []
-
-    # Fused NLL: the whole perplexity/zero-shot hot path per token.
-    logits = rng.standard_normal((8, 128, vocab))
-    targets = rng.integers(0, vocab, size=(8, 128))
-    fused = F.gather_nll(logits, targets)
-    unfused = F.gather_nll_reference(logits, targets)
-    fused_seconds = best_of(lambda: F.gather_nll(logits, targets), repeats)
-    unfused_seconds = best_of(
-        lambda: F.gather_nll_reference(logits, targets), repeats
-    )
-    records.append(
-        {
-            "name": "eval-perplexity",
-            "kind": "eval",
-            "params": {
-                "batch": 8,
-                "seq": 128,
-                "vocab": vocab,
-                "repeats": repeats,
-                "seed": seed,
-            },
-            "timings": {"unfused": unfused_seconds, "fused": fused_seconds},
-            "speedup": unfused_seconds / fused_seconds,
-            "bit_identical": bool(np.array_equal(fused, unfused)),
-        }
-    )
-
-    # KV-cached decoding: O(n) per token vs O(window) re-forwarding.
-    config = LlamaConfig(
-        vocab_size=128,
-        d_model=64,
-        n_layers=2,
-        n_heads=4,
-        d_ff=96,
-        max_seq_len=generate_tokens + 16,
-    )
-    model = LlamaModel(config, seed=seed)
-    prompt = rng.integers(0, config.vocab_size, size=8)
-    uncached = model.generate(prompt, generate_tokens, temperature=0.0)
-    cached = model.generate_cached(prompt, generate_tokens, temperature=0.0)
-    uncached_seconds = best_of(
-        lambda: model.generate(prompt, generate_tokens, temperature=0.0),
-        repeats,
-    )
-    cached_seconds = best_of(
-        lambda: model.generate_cached(
-            prompt, generate_tokens, temperature=0.0
-        ),
-        repeats,
-    )
-    records.append(
-        {
-            "name": "kvcache-generate",
-            "kind": "generate",
-            "params": {
-                "d_model": config.d_model,
-                "n_layers": config.n_layers,
-                "prompt_len": int(prompt.size),
-                "new_tokens": generate_tokens,
-                "repeats": repeats,
-                "seed": seed,
-            },
-            "timings": {
-                "sliding": uncached_seconds,
-                "cached": cached_seconds,
-            },
-            "speedup": uncached_seconds / cached_seconds,
-            "bit_identical": bool(np.array_equal(uncached, cached)),
-        }
-    )
-
-    # Packed forward: decode-per-call vs the memoised dense weight.
-    weight = rng.standard_normal((packed_size, packed_size))
-    layer = FormatLinear.from_weight(weight, "int4", group_size=32)
-    x = rng.standard_normal((64, packed_size))
-
-    def decode_per_call():
-        tensor = layer.format.unpack_payload(layer.arrays, layer.meta)
-        return x @ layer.format.decode(tensor)
-
-    per_call = decode_per_call()
-    memoised = layer.forward_array(x)  # warm the cache before timing
-    per_call_seconds = best_of(decode_per_call, repeats)
-    memoised_seconds = best_of(lambda: layer.forward_array(x), repeats)
-    records.append(
-        {
-            "name": f"packed-forward-{packed_size}x{packed_size}",
-            "kind": "packed-forward",
-            "params": {
-                "d_in": packed_size,
-                "d_out": packed_size,
-                "bits": 4,
-                "group_size": 32,
-                "batch": 64,
-                "repeats": repeats,
-                "seed": seed,
-            },
-            "timings": {
-                "per_call": per_call_seconds,
-                "memoised": memoised_seconds,
-            },
-            "speedup": per_call_seconds / memoised_seconds,
-            "bit_identical": bool(np.array_equal(per_call, memoised)),
-        }
-    )
-    return records
-
-
-def format_bench_records(
-    repeats: int = 3, seed: int = 0, size: int = 512
-) -> list[dict]:
-    """Dequant/forward timing for every registered quant format.
-
-    One ``format-forward-<name>-<N>x<N>`` record per registry entry of
-    :mod:`repro.quant.formats`: decode-then-matmul per call vs the
-    memoised dense reconstruction of
-    :class:`~repro.quant.formats.FormatLinear`, with the bit-identity of
-    the two paths re-checked at measure time.  The registry completeness
-    test (``tests/test_quant_formats.py``) requires a record per format
-    in the committed artifact.
-    """
-    from repro.quant.formats import FormatLinear, available_formats, get_format
-
-    rng = np.random.default_rng(seed)
-    weight = rng.standard_normal((size, size))
-    x = rng.standard_normal((64, size))
-    records = []
-    for name in available_formats():
-        fmt = get_format(name)
-        tensor = fmt.encode(weight, 32)
-        linear = FormatLinear.from_tensor(fmt, tensor)
-        per_call = x @ fmt.decode(tensor)
-        memoised = linear.forward_array(x)  # warm the cache before timing
-        per_call_seconds = best_of(lambda: x @ fmt.decode(tensor), repeats)
-        memoised_seconds = best_of(lambda: linear.forward_array(x), repeats)
-        records.append(
-            {
-                "name": f"format-forward-{name}-{size}x{size}",
-                "kind": "format-forward",
-                "params": {
-                    "format": name,
-                    "d_in": size,
-                    "d_out": size,
-                    "bits": fmt.bits,
-                    "group_size": 32,
-                    "batch": 64,
-                    "repeats": repeats,
-                    "seed": seed,
-                },
-                "timings": {
-                    "per_call": per_call_seconds,
-                    "memoised": memoised_seconds,
-                },
-                "speedup": per_call_seconds / memoised_seconds,
-                "bit_identical": bool(np.array_equal(per_call, memoised)),
-            }
-        )
-    return records
-
-
-def pipeline_bench_record(
-    workers: int = 2, repeats: int = 3, seed: int = 0
-) -> dict:
-    """Time end-to-end APTQ on a micro model, serial vs ``workers`` processes.
-
-    The micro model sits far below the executor's auto-serial cost
-    threshold, so the ``workers`` run declines to fork and the recorded
-    speedup hovers around 1.0 (pre-PR-5 it paid ~70 ms of fork overhead
-    per stage for ~30 ms of solver work and reported a slowdown); the
-    record's value is the bit-identity flag, the ``auto_serial`` marker,
-    and the absolute timings tracked across the perf trajectory.
-    """
-    # Imported here: repro.report is a leaf package that the core imports
-    # for health rendering (top-level import cycle otherwise).
-    from repro.core.aptq import APTQConfig, aptq_quantize_model
-    from repro.data.calibration import CalibrationSet
-    from repro.nn.transformer import LlamaConfig, LlamaModel
-
-    config = LlamaConfig(
-        vocab_size=64,
-        d_model=16,
-        n_layers=2,
-        n_heads=2,
-        d_ff=24,
-        max_seq_len=32,
-    )
-    rng = np.random.default_rng(seed)
-    segments = rng.integers(0, config.vocab_size, size=(6, 12))
-    calibration = CalibrationSet(
-        segments=segments, corpus_name="synthetic", seed=seed
-    )
-
-    def run(n_workers: int):
-        model = LlamaModel(config, seed=seed)
-        result = aptq_quantize_model(
-            model, calibration, APTQConfig(ratio_4bit=0.5, workers=n_workers)
-        )
-        return model.state_dict(), result
-
-    serial_state, _ = run(0)
-    parallel_state, parallel_result = run(workers)
-    identical = sorted(serial_state) == sorted(parallel_state) and all(
-        np.array_equal(serial_state[name], parallel_state[name])
-        for name in serial_state
-    )
-    # Did the minimum-work heuristic engage on the workers run?  (It should
-    # for this micro model; the flag makes the trajectory self-describing.)
-    auto_serial = any(
-        event.category == "scheduler"
-        for event in parallel_result.health.events
-    )
-    serial_seconds = best_of(lambda: run(0), repeats)
-    parallel_seconds = best_of(lambda: run(workers), repeats)
-    return {
-        "name": f"aptq-micro-workers{workers}",
-        "kind": "pipeline",
-        "params": {
-            "workers": workers,
-            "d_model": config.d_model,
-            "n_layers": config.n_layers,
-            "repeats": repeats,
-            "seed": seed,
-            "auto_serial": auto_serial,
-        },
-        "timings": {"serial": serial_seconds, "parallel": parallel_seconds},
-        "speedup": serial_seconds / parallel_seconds,
-        "bit_identical": identical,
-    }
-
-
 def _error_bounded(metrics: dict, bounds: dict) -> dict:
     """An ``equivalence`` block for a record that is close, not identical.
 
@@ -485,21 +136,365 @@ def _error_bounded(metrics: dict, bounds: dict) -> dict:
     }
 
 
-def calibration_bench_records(
+def _measure(
+    name: str,
+    kind: str,
+    params: dict,
+    reference: tuple[str, Callable[[], object]],
+    fast: tuple[str, Callable[[], object]],
+    repeats: int,
+    check: Callable[[object, object], object],
+    bounds: dict | None = None,
+    alternate: bool = False,
+    metrics: Callable[[object], dict] | None = None,
+) -> dict:
+    """Run, check and time one labelled reference/fast pair; returns its
+    record.
+
+    Each side runs once untimed (which also warms any cache the fast side
+    memoises) and ``check(reference_output, fast_output)`` compares the
+    two: it returns the ``bit_identical`` flag or, when ``bounds`` are
+    declared, the error metrics certified against them in an
+    ``equivalence`` block.  Both sides are then timed best-of-``repeats``,
+    one after the other, or alternately (``alternate``) for pairs whose
+    costs are close enough that host-speed drift would move their ratio.
+    ``metrics`` maps the output of the fastest timed fast-side run to the
+    record's run-varying ``metrics``.
+    """
+    (reference_label, reference_fn), (fast_label, fast_fn) = reference, fast
+    verdict = check(reference_fn(), fast_fn())
+    fastest = None
+    if alternate:
+        reference_seconds, fast_seconds = _best_of_pair(
+            reference_fn, fast_fn, repeats
+        )
+    else:
+        reference_seconds = best_of(reference_fn, repeats)
+        fast_seconds, fastest = _fastest(fast_fn, repeats)
+    record = {
+        "name": name,
+        "kind": kind,
+        "params": params,
+        "timings": {
+            reference_label: reference_seconds,
+            fast_label: fast_seconds,
+        },
+        "speedup": reference_seconds / fast_seconds,
+        "bit_identical": bounds is None and bool(verdict),
+    }
+    if bounds is not None:
+        record["equivalence"] = _error_bounded(verdict, bounds)
+    if metrics is not None:
+        record["metrics"] = metrics(fastest)
+    return record
+
+
+def _results_bit_identical(a, b) -> bool:
+    """Whether two solver results agree exactly (codes, grids, weights)."""
+    return (
+        np.array_equal(a.quantized_weight, b.quantized_weight)
+        and np.array_equal(a.group_result.codes, b.group_result.codes)
+        and np.array_equal(a.group_result.scales, b.group_result.scales)
+        and np.array_equal(a.group_result.zeros, b.group_result.zeros)
+    )
+
+
+def _arrays_equal(first: dict, second: dict) -> bool:
+    """Whether two mappings hold the same keys and exactly equal arrays."""
+    return first.keys() == second.keys() and all(
+        np.array_equal(first[key], second[key]) for key in first
+    )
+
+
+def solver_bench_records(repeats: int = 3) -> list[dict]:
+    """Time blocked-vs-reference sweeps and warm-vs-cold factorization.
+
+    Returns two records: ``solver-512x512`` (the smoke case the
+    acceptance bar reads) and ``factor-cache-512`` (the shared-Hessian
+    reuse wired through Q/K/V), whose cached factor must equal the cold
+    one.
+    """
+    size, bits, group_size, blocksize = 512, 4, 32, 128
+    # A random weight and a well-conditioned PSD Hessian.
+    rng = np.random.default_rng(SEED)
+    weight = rng.standard_normal((size, size))
+    basis = rng.standard_normal((size, size))
+    hessian = basis @ basis.T / size + 0.1 * np.eye(size)
+    solver = _measure(
+        f"solver-{size}x{size}",
+        "solver",
+        {
+            "d_in": size,
+            "d_out": size,
+            "bits": bits,
+            "group_size": group_size,
+            "blocksize": blocksize,
+            "micro_blocksize": MICRO_BLOCKSIZE,
+            "repeats": repeats,
+            "seed": SEED,
+        },
+        (
+            "reference",
+            lambda: quantize_with_hessian_reference(
+                weight, hessian, bits=bits, group_size=group_size
+            ),
+        ),
+        (
+            "blocked",
+            lambda: quantize_with_hessian(
+                weight,
+                hessian,
+                bits=bits,
+                group_size=group_size,
+                blocksize=blocksize,
+            ),
+        ),
+        repeats,
+        _results_bit_identical,
+    )
+
+    # Factor-cache effect: cold factorization per call vs one shared factor
+    # (the Q/K/V pattern after the shared-Gram dedup).  The direct call is
+    # the point of the measurement, hence the suppression.
+    cache = HessianFactorCache()
+    factor_cache = _measure(
+        f"factor-cache-{size}",
+        "factor-cache",
+        {"d_in": size, "repeats": repeats, "seed": SEED},
+        ("cold", lambda: factorize_hessian(hessian)),  # lint: disable=perf-raw-factorization
+        ("warm", lambda: cache.factor(hessian, 0.01, False)),
+        repeats,
+        lambda cold, warm: np.array_equal(cold.inv_upper, warm.inv_upper),
+    )
+    return [solver, factor_cache]
+
+
+def eval_bench_records(
     repeats: int = 3,
-    seed: int = 0,
-    n_layers: int = 12,
-    d_model: int = 32,
-    n_heads: int = 2,
-    d_ff: int = 256,
-    n_segments: int = 4,
-    seq_len: int = 32,
-    n_probes: int = 2,
-    batch_size: int = 4,
+    vocab: int = 4096,
+    generate_tokens: int = 192,
+    packed_size: int = 512,
+) -> list[dict]:
+    """Time the inference/evaluation fast paths against their slow twins.
+
+    Three bit-identical records:
+
+    * ``eval-perplexity`` — fused :func:`repro.nn.functional.gather_nll`
+      vs the unfused log-softmax-then-gather reference on a
+      ``(8, 128, vocab)`` logit block (bit-identical by the shared max
+      shift and reduction order);
+    * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
+      paged-KV-cache :meth:`generate_cached` decode (one prefill, then one
+      :meth:`forward_cached` per token; token-for-token equal);
+    * ``packed-forward-<N>x<N>`` — per-call unpack-decode-then-matmul vs
+      the memoised dense weight of an int4
+      :class:`~repro.quant.formats.FormatLinear`.
+    """
+    from repro.nn import functional as F
+    from repro.nn.transformer import LlamaConfig, LlamaModel
+    from repro.quant.formats import FormatLinear
+
+    rng = np.random.default_rng(SEED)
+    logits = rng.standard_normal((8, 128, vocab))
+    targets = rng.integers(0, vocab, size=(8, 128))
+    config = LlamaConfig(
+        vocab_size=128,
+        d_model=64,
+        n_layers=2,
+        n_heads=4,
+        d_ff=96,
+        max_seq_len=generate_tokens + 16,
+    )
+    model = LlamaModel(config, seed=SEED)
+    prompt = rng.integers(0, config.vocab_size, size=8)
+    weight = rng.standard_normal((packed_size, packed_size))
+    layer = FormatLinear.from_weight(weight, "int4", group_size=32)
+    x = rng.standard_normal((64, packed_size))
+
+    def decode_per_call():
+        tensor = layer.format.unpack_payload(layer.arrays, layer.meta)
+        return x @ layer.format.decode(tensor)
+
+    return [
+        # Fused NLL: the whole perplexity/zero-shot hot path per token.
+        _measure(
+            "eval-perplexity",
+            "eval",
+            {
+                "batch": 8,
+                "seq": 128,
+                "vocab": vocab,
+                "repeats": repeats,
+                "seed": SEED,
+            },
+            ("unfused", lambda: F.gather_nll_reference(logits, targets)),
+            ("fused", lambda: F.gather_nll(logits, targets)),
+            repeats,
+            np.array_equal,
+        ),
+        # KV-cached decoding: O(n) per token vs O(window) re-forwarding.
+        _measure(
+            "kvcache-generate",
+            "generate",
+            {
+                "d_model": config.d_model,
+                "n_layers": config.n_layers,
+                "prompt_len": int(prompt.size),
+                "new_tokens": generate_tokens,
+                "repeats": repeats,
+                "seed": SEED,
+            },
+            (
+                "sliding",
+                lambda: model.generate(
+                    prompt, generate_tokens, temperature=0.0
+                ),
+            ),
+            (
+                "cached",
+                lambda: model.generate_cached(
+                    prompt, generate_tokens, temperature=0.0
+                ),
+            ),
+            repeats,
+            np.array_equal,
+        ),
+        # Packed forward: decode-per-call vs the memoised dense weight.
+        _measure(
+            f"packed-forward-{packed_size}x{packed_size}",
+            "packed-forward",
+            {
+                "d_in": packed_size,
+                "d_out": packed_size,
+                "bits": 4,
+                "group_size": 32,
+                "batch": 64,
+                "repeats": repeats,
+                "seed": SEED,
+            },
+            ("per_call", decode_per_call),
+            ("memoised", lambda: layer.forward_array(x)),
+            repeats,
+            np.array_equal,
+        ),
+    ]
+
+
+def format_bench_records(repeats: int = 3, size: int = 512) -> list[dict]:
+    """Dequant/forward timing for every registered quant format.
+
+    One ``format-forward-<name>-<N>x<N>`` record per registry entry of
+    :mod:`repro.quant.formats`: decode-then-matmul per call vs the
+    memoised dense reconstruction of
+    :class:`~repro.quant.formats.FormatLinear`, with the bit-identity of
+    the two paths re-checked at measure time.  The registry completeness
+    test (``tests/test_quant_formats.py``) requires a record per format
+    in the committed artifact.
+    """
+    from repro.quant.formats import FormatLinear, available_formats, get_format
+
+    rng = np.random.default_rng(SEED)
+    weight = rng.standard_normal((size, size))
+    x = rng.standard_normal((64, size))
+    records = []
+    for name in available_formats():
+        fmt = get_format(name)
+        tensor = fmt.encode(weight, 32)
+        linear = FormatLinear.from_tensor(fmt, tensor)
+        records.append(
+            _measure(
+                f"format-forward-{name}-{size}x{size}",
+                "format-forward",
+                {
+                    "format": name,
+                    "d_in": size,
+                    "d_out": size,
+                    "bits": fmt.bits,
+                    "group_size": 32,
+                    "batch": 64,
+                    "repeats": repeats,
+                    "seed": SEED,
+                },
+                ("per_call", lambda: x @ fmt.decode(tensor)),
+                ("memoised", lambda: linear.forward_array(x)),
+                repeats,
+                np.array_equal,
+            )
+        )
+    return records
+
+
+def pipeline_bench_record(repeats: int = 3) -> dict:
+    """Time end-to-end APTQ on a micro model, serial vs 2 worker processes.
+
+    The micro model sits far below the executor's auto-serial cost
+    threshold, so the workers run declines to fork and the recorded
+    speedup hovers around 1.0; the record's value is the bit-identity
+    flag, the ``auto_serial`` marker, and the absolute timings tracked
+    across the perf trajectory.
+    """
+    # Imported here: repro.report is a leaf package that the core imports
+    # for health rendering (top-level import cycle otherwise).
+    from repro.core.aptq import APTQConfig, aptq_quantize_model
+    from repro.data.calibration import CalibrationSet
+    from repro.nn.transformer import LlamaConfig, LlamaModel
+
+    workers = 2
+    config = LlamaConfig(
+        vocab_size=64,
+        d_model=16,
+        n_layers=2,
+        n_heads=2,
+        d_ff=24,
+        max_seq_len=32,
+    )
+    rng = np.random.default_rng(SEED)
+    segments = rng.integers(0, config.vocab_size, size=(6, 12))
+    calibration = CalibrationSet(
+        segments=segments, corpus_name="synthetic", seed=SEED
+    )
+    params = {
+        "workers": workers,
+        "d_model": config.d_model,
+        "n_layers": config.n_layers,
+        "repeats": repeats,
+        "seed": SEED,
+    }
+
+    def run(n_workers: int):
+        model = LlamaModel(config, seed=SEED)
+        result = aptq_quantize_model(
+            model, calibration, APTQConfig(ratio_4bit=0.5, workers=n_workers)
+        )
+        return model.state_dict(), result
+
+    def same_states(serial, parallel) -> bool:
+        # Did the minimum-work heuristic engage on the workers run?  (It
+        # should for this micro model; the flag makes the trajectory
+        # self-describing.)
+        params["auto_serial"] = any(
+            event.category == "scheduler"
+            for event in parallel[1].health.events
+        )
+        return _arrays_equal(serial[0], parallel[0])
+
+    return _measure(
+        f"aptq-micro-workers{workers}",
+        "pipeline",
+        params,
+        ("serial", lambda: run(0)),
+        ("parallel", lambda: run(workers)),
+        repeats,
+        same_states,
+    )
+
+
+def calibration_bench_records(
+    repeats: int = 3, n_layers: int = 12, n_segments: int = 4
 ) -> list[dict]:
     """Time the calibration fast path against the legacy per-block protocol.
 
-    Three records:
+    Three records, each timing its two sides alternately:
 
     * ``calibration-capture`` — the legacy per-block protocol (one
       ``capture_attention`` restart from the embedding per (block, batch)
@@ -532,33 +527,35 @@ def calibration_bench_records(
     from repro.eval.perplexity import perplexity
     from repro.nn.transformer import LlamaConfig, LlamaModel
 
+    seq_len, n_probes, batch_size = 32, 2, 4
     # Deep-and-narrow on purpose: the legacy protocol's cost is quadratic
     # in depth (sum of block-prefix re-forwards), so a 12-layer model with
     # a heavyish FFN puts the measurement in the forward-dominated regime
     # the fast path actually targets.
     config = LlamaConfig(
         vocab_size=64,
-        d_model=d_model,
+        d_model=32,
         n_layers=n_layers,
-        n_heads=n_heads,
-        d_ff=d_ff,
-        max_seq_len=max(32, seq_len),
+        n_heads=2,
+        d_ff=256,
+        max_seq_len=seq_len,
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     segments = rng.integers(0, config.vocab_size, size=(n_segments, seq_len))
-    model = LlamaModel(config, seed=seed)
-    shared_params = {
+    model = LlamaModel(config, seed=SEED)
+    params = {
         "n_layers": n_layers,
-        "d_model": d_model,
-        "n_heads": n_heads,
-        "d_ff": d_ff,
+        "d_model": config.d_model,
+        "n_heads": config.n_heads,
+        "d_ff": config.d_ff,
         "n_segments": n_segments,
         "seq_len": seq_len,
         "n_probes": n_probes,
         "batch_size": batch_size,
         "repeats": repeats,
-        "seed": seed,
+        "seed": SEED,
     }
+    blocks = range(n_layers)
 
     def legacy() -> list:
         # O(L^2) block forwards: every attention_hessians call restarts
@@ -570,95 +567,45 @@ def calibration_bench_records(
                 segments,
                 n_probes=n_probes,
                 batch_size=batch_size,
-                seed=seed + block,
+                seed=SEED + block,
                 probe_mode="reference",
             )
-            for block in range(config.n_layers)
+            for block in blocks
+        ]
+
+    def estimate(estimator: Callable, captures: list) -> list:
+        return [
+            estimator(
+                model.blocks[block].self_attn,
+                captures[block],
+                n_probes=n_probes,
+                seed=SEED + block,
+            )
+            for block in blocks
         ]
 
     def streamed() -> list:
         stream = CalibrationCaptureStream(
             model, segments, batch_size=batch_size, frozen=True
         )
-        return [
-            attention_hessians_from_captures(
-                model.blocks[block].self_attn,
-                stream.block_captures(block),
-                n_probes=n_probes,
-                seed=seed + block,
+        captures = [stream.block_captures(block) for block in blocks]
+        return estimate(attention_hessians_from_captures, captures)
+
+    def same_hessians(first: list, second: list) -> bool:
+        return all(
+            np.array_equal(a, b)
+            for one, other in zip(first, second)
+            for a, b in zip(
+                (*one.q, *one.k, *one.v, one.o),
+                (*other.q, *other.k, *other.v, other.o),
             )
-            for block in range(config.n_layers)
-        ]
+        )
 
-    legacy_hessians = legacy()
-    streamed_hessians = streamed()
-    identical = all(
-        all(np.array_equal(a, b) for a, b in zip(lg.q, st.q))
-        and all(np.array_equal(a, b) for a, b in zip(lg.k, st.k))
-        and all(np.array_equal(a, b) for a, b in zip(lg.v, st.v))
-        and np.array_equal(lg.o, st.o)
-        for lg, st in zip(legacy_hessians, streamed_hessians)
-    )
-    legacy_seconds, streamed_seconds = _best_of_pair(
-        legacy, streamed, repeats
-    )
-    records = [
-        {
-            "name": "calibration-capture",
-            "kind": "calibration",
-            "params": dict(shared_params),
-            "timings": {
-                "per_block": legacy_seconds,
-                "streamed": streamed_seconds,
-            },
-            "speedup": legacy_seconds / streamed_seconds,
-            "bit_identical": bool(identical),
-        }
-    ]
-
-    # --- calibration-kron: estimator cost over identical captures. -------
+    # calibration-kron: estimator cost over identical captures.
     stream = CalibrationCaptureStream(
         model, segments, batch_size=batch_size, frozen=True
     )
-    captures = [
-        stream.block_captures(block) for block in range(config.n_layers)
-    ]
-
-    def probed_estimate() -> list:
-        return [
-            attention_hessians_from_captures(
-                model.blocks[block].self_attn,
-                captures[block],
-                n_probes=n_probes,
-                seed=seed + block,
-            )
-            for block in range(config.n_layers)
-        ]
-
-    def kron_estimate() -> list:
-        return [
-            kron_attention_hessians_from_captures(
-                model.blocks[block].self_attn,
-                captures[block],
-                n_probes=n_probes,
-                seed=seed + block,
-            )
-            for block in range(config.n_layers)
-        ]
-
-    kron_hessians = kron_estimate()
-    reconstruction_errors = []
-    for probed_block, kron_block in zip(streamed_hessians, kron_hessians):
-        for projection in ("q", "k"):
-            exact_heads = getattr(probed_block, projection)
-            factor = getattr(kron_block, projection)
-            for head, exact in enumerate(exact_heads):
-                denom = float(np.linalg.norm(exact))
-                if denom == 0.0:
-                    continue
-                reconstruction_errors.append(
-                    float(np.linalg.norm(factor.dense(head) - exact)) / denom
-                )
+    captures = [stream.block_captures(block) for block in blocks]
 
     micro = LlamaConfig(
         vocab_size=64,
@@ -671,12 +618,12 @@ def calibration_bench_records(
     calibration = CalibrationSet(
         segments=rng.integers(0, micro.vocab_size, size=(6, 12)),
         corpus_name="synthetic",
-        seed=seed,
+        seed=SEED,
     )
     eval_stream = rng.integers(0, micro.vocab_size, size=256)
 
     def quantized_perplexity(mode: str) -> float:
-        quantized = LlamaModel(micro, seed=seed)
+        quantized = LlamaModel(micro, seed=SEED)
         aptq_quantize_model(
             quantized,
             calibration,
@@ -684,37 +631,30 @@ def calibration_bench_records(
         )
         return perplexity(quantized, eval_stream, seq_len=16)
 
-    ppl_probed = quantized_perplexity("probed")
-    ppl_kron = quantized_perplexity("kron")
-    kron_metrics = {
-        # Mean relative Frobenius error of g_h * A against the probed
-        # per-head q/k Hessians (v/o keep their exact closed forms).
-        "reconstruction_rel_error": float(np.mean(reconstruction_errors)),
-        "ppl_rel_delta": abs(ppl_kron - ppl_probed) / ppl_probed,
-    }
-    # Declared bounds of the approximation tier; commitments, not
-    # observations — a regenerated report that drifts past them fails
-    # validation (and the bench_compare gate) instead of re-declaring.
-    # The isotropic token-side collapse is a coarse curvature sketch
-    # (~0.8 relative Frobenius error on q/k for a random model), which is
-    # exactly why the binding bound is the end-to-end perplexity delta.
-    kron_bounds = {"reconstruction_rel_error": 0.9, "ppl_rel_delta": 0.05}
-    probed_seconds, kron_seconds = _best_of_pair(
-        probed_estimate, kron_estimate, repeats
-    )
-    records.append(
-        {
-            "name": "calibration-kron",
-            "kind": "calibration",
-            "params": dict(shared_params),
-            "timings": {"probed": probed_seconds, "kron": kron_seconds},
-            "speedup": probed_seconds / kron_seconds,
-            "bit_identical": False,
-            "equivalence": _error_bounded(kron_metrics, kron_bounds),
+    def kron_errors(probed_hessians: list, kron_hessians: list) -> dict:
+        reconstruction_errors = []
+        for probed_block, kron_block in zip(probed_hessians, kron_hessians):
+            for projection in ("q", "k"):
+                exact_heads = getattr(probed_block, projection)
+                factor = getattr(kron_block, projection)
+                for head, exact in enumerate(exact_heads):
+                    denom = float(np.linalg.norm(exact))
+                    if denom == 0.0:
+                        continue
+                    reconstruction_errors.append(
+                        float(np.linalg.norm(factor.dense(head) - exact))
+                        / denom
+                    )
+        ppl_probed = quantized_perplexity("probed")
+        ppl_kron = quantized_perplexity("kron")
+        return {
+            # Mean relative Frobenius error of g_h * A against the probed
+            # per-head q/k Hessians (v/o keep their exact closed forms).
+            "reconstruction_rel_error": float(np.mean(reconstruction_errors)),
+            "ppl_rel_delta": abs(ppl_kron - ppl_probed) / ppl_probed,
         }
-    )
 
-    # --- calibration-trace-hutchinson: vectorised quadratic forms. -------
+    # calibration-trace-hutchinson: vectorised quadratic forms.
     dim, trace_probes = 192, 96
     basis = rng.standard_normal((dim, dim))
     matrix = basis @ basis.T / dim
@@ -722,50 +662,74 @@ def calibration_bench_records(
     def trace_loop() -> float:
         # The callable branch keeps the per-probe loop; same rng stream.
         return hutchinson_trace(
-            lambda z: matrix @ z, dim=dim, n_probes=trace_probes, seed=seed
+            lambda z: matrix @ z, dim=dim, n_probes=trace_probes, seed=SEED
         )
 
-    def trace_vectorised() -> float:
-        return hutchinson_trace(matrix, n_probes=trace_probes, seed=seed)
-
-    loop_value = trace_loop()
-    vectorised_value = trace_vectorised()
-    loop_seconds, vectorised_seconds = _best_of_pair(
-        trace_loop, trace_vectorised, repeats
-    )
-    records.append(
-        {
-            "name": "calibration-trace-hutchinson",
-            "kind": "calibration",
-            "params": {
+    return [
+        _measure(
+            "calibration-capture",
+            "calibration",
+            params,
+            ("per_block", legacy),
+            ("streamed", streamed),
+            repeats,
+            same_hessians,
+            alternate=True,
+        ),
+        # Declared bounds of the approximation tier; commitments, not
+        # observations — a regenerated report that drifts past them fails
+        # validation (and the bench_compare gate) instead of re-declaring.
+        # The isotropic token-side collapse is a coarse curvature sketch
+        # (~0.8 relative Frobenius error on q/k for a random model), which
+        # is exactly why the binding bound is the end-to-end perplexity
+        # delta.
+        _measure(
+            "calibration-kron",
+            "calibration",
+            params,
+            (
+                "probed",
+                lambda: estimate(attention_hessians_from_captures, captures),
+            ),
+            (
+                "kron",
+                lambda: estimate(
+                    kron_attention_hessians_from_captures, captures
+                ),
+            ),
+            repeats,
+            kron_errors,
+            bounds={"reconstruction_rel_error": 0.9, "ppl_rel_delta": 0.05},
+            alternate=True,
+        ),
+        _measure(
+            "calibration-trace-hutchinson",
+            "calibration",
+            {
                 "dim": dim,
                 "n_probes": trace_probes,
                 "repeats": repeats,
-                "seed": seed,
+                "seed": SEED,
             },
-            "timings": {
-                "loop": loop_seconds,
-                "vectorised": vectorised_seconds,
-            },
-            "speedup": loop_seconds / vectorised_seconds,
-            "bit_identical": False,
-            "equivalence": _error_bounded(
-                {
-                    "trace_rel_error": abs(vectorised_value - loop_value)
-                    / abs(loop_value)
-                },
-                {"trace_rel_error": 1e-9},
+            ("loop", trace_loop),
+            (
+                "vectorised",
+                lambda: hutchinson_trace(
+                    matrix, n_probes=trace_probes, seed=SEED
+                ),
             ),
-        }
-    )
-    return records
+            repeats,
+            lambda loop, vectorised: {
+                "trace_rel_error": abs(vectorised - loop) / abs(loop)
+            },
+            bounds={"trace_rel_error": 1e-9},
+            alternate=True,
+        ),
+    ]
 
 
 def serve_bench_records(
-    repeats: int = 3,
-    seed: int = 0,
-    n_requests: int = 24,
-    max_new: int = 16,
+    repeats: int = 3, n_requests: int = 24, max_new: int = 16
 ) -> list[dict]:
     """Time the serving layer against serial per-request decoding.
 
@@ -777,10 +741,10 @@ def serve_bench_records(
       :meth:`generate_cached` loop (one sequence on the same cache type);
     * ``serve-continuous-batching`` — the full async
       :class:`~repro.serve.scheduler.ContinuousBatchScheduler` over a
-      seeded open-loop workload vs the same serial loop, with latency
-      percentiles and throughput under ``metrics`` (run-varying numbers
-      live there, not in ``params``, so the regression gate still pairs
-      records across runs).
+      seeded open-loop workload vs the same serial loop, with the fastest
+      served run's latency percentiles and throughput under ``metrics``
+      (run-varying numbers live there, not in ``params``, so the
+      regression gate still pairs records across runs).
     """
     import asyncio
 
@@ -797,11 +761,11 @@ def serve_bench_records(
         d_ff=64,
         max_seq_len=64,
     )
-    model = LlamaModel(config, seed=seed)
+    model = LlamaModel(config, seed=SEED)
     workload = build_workload(
         n_requests,
         vocab_size=config.vocab_size,
-        seed=seed,
+        seed=SEED,
         min_prompt=2,
         max_prompt=12,
         min_new=max(2, max_new // 2),
@@ -814,16 +778,16 @@ def serve_bench_records(
         "n_requests": n_requests,
         "max_new": max_new,
         "repeats": repeats,
-        "seed": seed,
+        "seed": SEED,
     }
 
-    def serial() -> list[np.ndarray]:
-        return [
-            model.generate_cached(
+    def serial() -> dict[str, np.ndarray]:
+        return {
+            spec["request_id"]: model.generate_cached(
                 spec["prompt"], spec["max_new_tokens"], temperature=0.0
             )
             for spec in workload
-        ]
+        }
 
     def paged() -> dict[str, np.ndarray]:
         worker = InProcessWorker(model, block_size=8, num_blocks=128)
@@ -855,26 +819,7 @@ def serve_bench_records(
                 )
         return outputs
 
-    serial_outputs = serial()
-    paged_outputs = paged()
-    paged_identical = all(
-        np.array_equal(paged_outputs[spec["request_id"]], reference)
-        for spec, reference in zip(workload, serial_outputs)
-    )
-    serial_seconds = best_of(serial, repeats)
-    paged_seconds = best_of(paged, repeats)
-    records = [
-        {
-            "name": "serve-paged-decode",
-            "kind": "serve",
-            "params": params,
-            "timings": {"serial": serial_seconds, "paged": paged_seconds},
-            "speedup": serial_seconds / paged_seconds,
-            "bit_identical": paged_identical,
-        }
-    ]
-
-    def served() -> "object":
+    def served():
         async def run():
             scheduler = ContinuousBatchScheduler(
                 model,
@@ -891,190 +836,160 @@ def serve_bench_records(
 
         return asyncio.run(run())
 
-    start = time.perf_counter()
-    timed_load = served()
-    served_seconds = time.perf_counter() - start
-    for _ in range(repeats - 1):
-        start = time.perf_counter()
-        candidate = served()
-        elapsed = time.perf_counter() - start
-        if elapsed < served_seconds:
-            served_seconds, timed_load = elapsed, candidate
-    served_identical = len(timed_load.completed) == len(workload) and all(
-        np.array_equal(timed_load.completed[spec["request_id"]], reference)
-        for spec, reference in zip(workload, serial_outputs)
-    )
-    records.append(
-        {
-            "name": "serve-continuous-batching",
-            "kind": "serve",
-            "params": params,
-            "timings": {"serial": serial_seconds, "served": served_seconds},
-            "speedup": serial_seconds / served_seconds,
-            "bit_identical": served_identical,
-            "metrics": {
-                "p50_latency": timed_load.p50,
-                "p99_latency": timed_load.p99,
-                "throughput_rps": timed_load.throughput,
-                "completed": len(timed_load.completed),
-                "failed": len(timed_load.failed),
-                "rejected": len(timed_load.rejected),
+    return [
+        _measure(
+            "serve-paged-decode",
+            "serve",
+            params,
+            ("serial", serial),
+            ("paged", paged),
+            repeats,
+            _arrays_equal,
+        ),
+        _measure(
+            "serve-continuous-batching",
+            "serve",
+            params,
+            ("serial", serial),
+            ("served", served),
+            repeats,
+            lambda outputs, load: _arrays_equal(outputs, load.completed),
+            metrics=lambda load: {
+                "p50_latency": load.p50,
+                "p99_latency": load.p99,
+                "throughput_rps": load.throughput,
+                "completed": len(load.completed),
+                "failed": len(load.failed),
+                "rejected": len(load.rejected),
             },
-        }
+        ),
+    ]
+
+
+#: Record groups of each suite, with the keyword arguments that shrink a
+#: group for ``quick`` runs (``None``: the group is left out of them).
+_SUITES: dict[str, list[tuple[Callable[..., object], dict | None]]] = {
+    "quantize": [
+        (solver_bench_records, {}),
+        (
+            eval_bench_records,
+            {
+                "repeats": 1,
+                "vocab": 512,
+                "generate_tokens": 48,
+                "packed_size": 128,
+            },
+        ),
+        (format_bench_records, {"repeats": 1, "size": 64}),
+        (pipeline_bench_record, None),
+        (
+            calibration_bench_records,
+            {"repeats": 1, "n_layers": 4, "n_segments": 2},
+        ),
+    ],
+    "serve": [
+        (serve_bench_records, {"repeats": 1, "n_requests": 6, "max_new": 6})
+    ],
+}
+
+#: Suites a bench report may declare (one JSON artifact per suite).
+BENCH_SUITES = tuple(_SUITES)
+
+
+def build_report(
+    suite: str = "quantize",
+    repeats: int = 3,
+    quick: bool = False,
+    timestamp: str | None = None,
+) -> dict:
+    """Run every record group of ``suite`` into one bench report.
+
+    The full run backs the committed ``BENCH_<suite>.json`` that
+    ``tools/bench_compare.py`` gates against.  ``quick`` runs each group
+    with its shrunk arguments from the suite table (smaller problems, one
+    timing repeat) and skips the groups that have none (the end-to-end
+    pipeline bench), for tier-1 smoke use.
+    """
+    records: list[dict] = []
+    for records_fn, quick_kwargs in _SUITES[suite]:
+        if quick and quick_kwargs is None:
+            continue
+        result = records_fn(
+            **{"repeats": repeats, **(quick_kwargs if quick else {})}
+        )
+        records.extend([result] if isinstance(result, dict) else result)
+    report = {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "suite": suite,
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+        },
+        "records": records,
+    }
+    if timestamp is not None:
+        report["timestamp"] = timestamp
+    return report
+
+
+def format_record(record: dict) -> str:
+    """One summary line: timings, speedup, and the equivalence verdict."""
+    timings = ", ".join(
+        f"{label}={seconds:.4f}s"
+        for label, seconds in sorted(record["timings"].items())
     )
-    return records
-
-
-def build_serve_report(
-    repeats: int = 3,
-    quick: bool = False,
-    timestamp: str | None = None,
-) -> dict:
-    """Assemble the full ``BENCH_serve.json`` report.
-
-    ``quick`` shrinks the workload for tier-1 smoke use; the full run
-    backs the committed artifact that ``tools/bench_compare.py --suite
-    serve`` gates against.
-    """
-    if quick:
-        records = serve_bench_records(repeats=1, n_requests=6, max_new=6)
+    equivalence = record.get("equivalence")
+    if equivalence is None:
+        verdict = f"bit_identical={record['bit_identical']}"
     else:
-        records = serve_bench_records(repeats=repeats)
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "serve",
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "records": records,
-    }
-    if timestamp is not None:
-        report["timestamp"] = timestamp
-    return report
-
-
-def build_quantize_report(
-    repeats: int = 3,
-    workers: int = 2,
-    quick: bool = False,
-    timestamp: str | None = None,
-) -> dict:
-    """Assemble the full ``BENCH_quantize.json`` report.
-
-    ``quick`` skips the end-to-end pipeline suite and shrinks the eval
-    suite (the solver suite alone carries the solver acceptance smoke
-    case), for use in tier-1 tests.
-    """
-    records = solver_bench_records(repeats=repeats)
-    if quick:
-        records.extend(
-            eval_bench_records(
-                repeats=1, vocab=512, generate_tokens=48, packed_size=128
-            )
+        measured = ", ".join(
+            f"{key}={value:.3g} (bound {equivalence['bounds'][key]:g})"
+            for key, value in sorted(equivalence["metrics"].items())
         )
-        records.extend(format_bench_records(repeats=1, size=64))
-        records.extend(
-            calibration_bench_records(repeats=1, n_layers=4, n_segments=2)
-        )
-    else:
-        records.extend(eval_bench_records(repeats=repeats))
-        records.extend(format_bench_records(repeats=repeats))
-        records.append(pipeline_bench_record(workers=workers))
-        records.extend(calibration_bench_records(repeats=repeats))
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "quantize",
-        "solver_modes": list(SOLVER_MODES),
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "records": records,
-    }
-    if timestamp is not None:
-        report["timestamp"] = timestamp
-    return report
+        verdict = f"within_bounds={equivalence['within_bounds']}  [{measured}]"
+    return (
+        f"{record['name']}: {timings}  "
+        f"speedup={record['speedup']:.2f}x  {verdict}"
+    )
 
 
-def build_calibration_report(
-    repeats: int = 3,
-    quick: bool = False,
-    timestamp: str | None = None,
-) -> dict:
-    """Assemble a standalone ``BENCH_calibration.json`` report.
-
-    The calibration records also ride inside the quantize suite (they are
-    part of the committed ``BENCH_quantize.json``); this focused suite
-    exists so ``tools/bench.py --suite calibration`` can re-measure the
-    calibration fast path without re-running the solver/eval benches.
-    """
-    if quick:
-        records = calibration_bench_records(
-            repeats=1, n_layers=4, n_segments=2
-        )
-    else:
-        records = calibration_bench_records(repeats=repeats)
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "calibration",
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "records": records,
-    }
-    if timestamp is not None:
-        report["timestamp"] = timestamp
-    return report
+def _validate_numbers(where: str, mapping: object) -> list[str]:
+    """Problems of a field that must be a non-empty dict of finite
+    non-negative numbers."""
+    if not isinstance(mapping, dict) or not mapping:
+        return [f"{where} must be a non-empty object"]
+    if any(
+        not isinstance(v, (int, float))
+        or isinstance(v, bool)
+        or not np.isfinite(v)
+        or v < 0
+        for v in mapping.values()
+    ):
+        return [f"{where} values must be finite non-negative numbers"]
+    return []
 
 
 def _validate_equivalence(where: str, equivalence: object) -> list[str]:
     """Check one record's error-bounded ``equivalence`` block."""
-    problems: list[str] = []
     if not isinstance(equivalence, dict):
         return [f"{where}.equivalence must be an object"]
+    problems: list[str] = []
     if equivalence.get("kind") != "error-bounded":
         problems.append(f"{where}.equivalence.kind must be 'error-bounded'")
     metrics = equivalence.get("metrics")
     bounds = equivalence.get("bounds")
-    for field, mapping in (("metrics", metrics), ("bounds", bounds)):
-        if not isinstance(mapping, dict) or not mapping:
-            problems.append(
-                f"{where}.equivalence.{field} must be a non-empty object"
-            )
-        elif any(
-            not isinstance(v, (int, float))
-            or isinstance(v, bool)
-            or not np.isfinite(v)
-            or v < 0
-            for v in mapping.values()
-        ):
-            problems.append(
-                f"{where}.equivalence.{field} values must be finite "
-                "non-negative numbers"
-            )
-    if (
-        isinstance(metrics, dict)
-        and isinstance(bounds, dict)
-        and metrics
-        and bounds
-    ):
+    number_problems = _validate_numbers(
+        f"{where}.equivalence.metrics", metrics
+    ) + _validate_numbers(f"{where}.equivalence.bounds", bounds)
+    problems.extend(number_problems)
+    if not number_problems:
         if set(metrics) != set(bounds):
             problems.append(
                 f"{where}.equivalence metrics and bounds must share keys"
             )
         else:
-            exceeded = sorted(
-                key
-                for key in bounds
-                if isinstance(metrics[key], (int, float))
-                and isinstance(bounds[key], (int, float))
-                and metrics[key] > bounds[key]
-            )
+            exceeded = sorted(k for k in bounds if metrics[k] > bounds[k])
             if exceeded:
                 problems.append(
                     f"{where}.equivalence metrics exceed declared bounds: "
@@ -1133,21 +1048,10 @@ def validate_bench_report(report: dict, suite: str | None = None) -> list[str]:
                 f"{where}.bit_identical must be true (only records with a "
                 "valid error-bounded equivalence block may opt out)"
             )
-        metrics = record.get("metrics")
-        if metrics is not None:
-            if not isinstance(metrics, dict) or not metrics:
-                problems.append(f"{where}.metrics must be a non-empty object")
-            elif any(
-                not isinstance(v, (int, float))
-                or isinstance(v, bool)
-                or not np.isfinite(v)
-                or v < 0
-                for v in metrics.values()
-            ):
-                problems.append(
-                    f"{where}.metrics values must be finite non-negative "
-                    "numbers"
-                )
+        if record.get("metrics") is not None:
+            problems.extend(
+                _validate_numbers(f"{where}.metrics", record["metrics"])
+            )
     return problems
 
 

@@ -313,7 +313,7 @@ class SolverTask:
 
 
 def _execute_task(
-    payload: tuple[SolverTask, RecoveryPolicy, str],
+    payload: tuple[SolverTask, RecoveryPolicy],
     cache: Optional["HessianFactorCache"] = None,
 ) -> tuple["SolverResult", tuple[DegradationEvent, ...]]:
     """Run one task against a fresh child journal; return (result, events).
@@ -323,7 +323,7 @@ def _execute_task(
     not share a factor cache, which is safe because cache hits are
     bit-identical to recomputation by construction.
     """
-    task, policy, mode = payload
+    task, policy = payload
     child = RunJournal()
     result = robust_quantize_layer(
         task.weight,
@@ -333,7 +333,6 @@ def _execute_task(
         blocksize=task.blocksize,
         percdamp=task.percdamp,
         actorder=task.actorder,
-        mode=mode,
         policy=policy,
         journal=child,
         layer=task.key,
@@ -349,7 +348,6 @@ def run_solver_tasks(
     policy: Optional[RecoveryPolicy] = None,
     journal: Optional[RunJournal] = None,
     cache: Optional["HessianFactorCache"] = None,
-    mode: str = "blocked",
     min_parallel_cost: float = MIN_PARALLEL_COST,
 ) -> list["SolverResult"]:
     """Execute ``tasks`` and return their results in task order.
@@ -370,7 +368,7 @@ def run_solver_tasks(
         raise ValueError("workers must be non-negative")
     policy = policy or RecoveryPolicy()
     journal = journal if journal is not None else RunJournal()
-    payloads = [(task, policy, mode) for task in tasks]
+    payloads = [(task, policy) for task in tasks]
 
     outcomes = None
     if workers > 0 and len(tasks) > 1:

@@ -136,7 +136,6 @@ def robust_quantize_layer(
     blocksize: int = 128,
     percdamp: float = 0.01,
     actorder: bool = False,
-    mode: str = "blocked",
     policy: Optional[RecoveryPolicy] = None,
     journal: Optional[RunJournal] = None,
     layer: str = "",
@@ -150,8 +149,8 @@ def robust_quantize_layer(
     one rung (see the module docstring) and records an event in
     ``journal``; the ladder's output is always a usable
     :class:`SolverResult` unless the terminal RTN rung is disabled.
-    ``mode`` selects the sweep schedule and ``cache`` memoizes Cholesky
-    factors across calls sharing a Hessian (both forwarded to the solver).
+    ``cache`` memoizes Cholesky factors across calls sharing a Hessian
+    (forwarded to the solver).
     """
     # Lazy for the same import-cycle reason as in _rtn_solver_result.
     from repro.quant.solver import quantize_with_hessian
@@ -169,7 +168,6 @@ def robust_quantize_layer(
             blocksize=blocksize,
             percdamp=damp,
             actorder=actorder,
-            mode=mode,
             cache=cache,
             hessian_scale=hessian_scale,
         )

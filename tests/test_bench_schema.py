@@ -9,20 +9,21 @@ threshold so the test stays flake-free on loaded machines while still
 catching a de-optimized solver.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import repro.report.bench as bench
+from repro.nn import functional as F
 from repro.report.bench import (
     BENCH_SCHEMA_VERSION,
     BENCH_SUITES,
     _best_of_pair,
     append_bench_history,
     best_of,
-    build_calibration_report,
-    build_quantize_report,
-    build_serve_report,
+    build_report,
     calibration_bench_records,
     eval_bench_records,
     format_bench_records,
@@ -34,8 +35,15 @@ from repro.report.bench import (
     write_bench_report,
 )
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_quantize.json"
-SERVE_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+ROOT = Path(__file__).resolve().parents[1]
+ARTIFACT = ROOT / "BENCH_quantize.json"
+SERVE_ARTIFACT = ROOT / "BENCH_serve.json"
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_tool", ROOT / "tools" / "bench.py"
+)
+bench_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_tool)
 
 
 class TestCommittedArtifact:
@@ -181,7 +189,7 @@ class TestServeArtifact:
         assert metrics["failed"] == 0 and metrics["rejected"] == 0
 
     def test_quick_serve_report_validates_live(self):
-        report = build_serve_report(repeats=1, quick=True)
+        report = build_report("serve", repeats=1, quick=True)
         assert validate_bench_report(report, suite="serve") == []
         for record in report["records"]:
             assert record["bit_identical"] is True, record
@@ -201,6 +209,21 @@ class TestLiveSmoke:
         assert solver["bit_identical"] is True
         cache = next(r for r in records if r["kind"] == "factor-cache")
         assert cache["speedup"] > 1.0, cache
+        assert cache["bit_identical"] is True
+
+    def test_factor_cache_compares_cold_and_cached_factors(
+        self, monkeypatch
+    ):
+        # A cold factorization that drifts from the cached factor (here:
+        # the factor of 2H) must show up as lost bit-identity.
+        factorize = bench.factorize_hessian
+        monkeypatch.setattr(
+            bench, "factorize_hessian", lambda hessian: factorize(2 * hessian)
+        )
+        records = solver_bench_records(repeats=1)
+        by_kind = {r["kind"]: r for r in records}
+        assert by_kind["factor-cache"]["bit_identical"] is False
+        assert by_kind["solver"]["bit_identical"] is True
 
     def test_format_forward_live_smoke(self):
         # Shrunk size, loose bar: catches a lost bit-identity or a
@@ -252,15 +275,32 @@ class TestLiveSmoke:
             assert record["bit_identical"] is False
             assert record["equivalence"]["within_bounds"] is True, record
 
-    def test_calibration_report_builds_and_validates(self):
-        report = build_calibration_report(repeats=1, quick=True)
-        assert validate_bench_report(report, suite="calibration") == []
-        assert report["suite"] in BENCH_SUITES
+
+class TestBenchTool:
+    def test_quick_run_writes_valid_report(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert bench_tool.main(["--quick", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert validate_bench_report(report, suite="quantize") == []
+
+    def test_perturbed_fast_path_fails_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The exit-code contract of a smoke gate: a fast path that drifts
+        # from its reference fails the run and writes no report.
+        fused = F.gather_nll
+        monkeypatch.setattr(
+            F, "gather_nll", lambda logits, targets: fused(logits, targets) * 2
+        )
+        out = tmp_path / "bench.json"
+        assert bench_tool.main(["--quick", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "bit_identical=False" in capsys.readouterr().out
 
 
 class TestSchemaValidation:
     def test_quick_report_validates(self):
-        report = build_quantize_report(repeats=1, quick=True)
+        report = build_report("quantize", repeats=1, quick=True)
         assert validate_bench_report(report) == []
 
     def test_validator_rejects_malformed_reports(self):
@@ -315,7 +355,7 @@ class TestSchemaValidation:
             equivalence.update(overrides)
             return {
                 "schema_version": BENCH_SCHEMA_VERSION,
-                "suite": "calibration",
+                "suite": "quantize",
                 "records": [
                     {
                         "name": "kron",
@@ -366,7 +406,7 @@ class TestSchemaValidation:
             write_bench_report(tmp_path / "out.json", {"schema_version": 0})
 
     def test_writer_roundtrip(self, tmp_path):
-        report = build_quantize_report(repeats=1, quick=True)
+        report = build_report("quantize", repeats=1, quick=True)
         path = write_bench_report(tmp_path / "bench.json", report)
         assert validate_bench_report(json.loads(path.read_text())) == []
 

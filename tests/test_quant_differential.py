@@ -17,7 +17,7 @@ from repro.core.aptq import APTQConfig, aptq_quantize_model
 from repro.data.calibration import CalibrationSet
 from repro.nn.transformer import LlamaConfig, LlamaModel
 from repro.quant.solver import (
-    quantize_with_hessian_blocked,
+    quantize_with_hessian,
     quantize_with_hessian_reference,
 )
 from repro.runtime.journal import RunJournal
@@ -87,7 +87,7 @@ class TestBlockedEqualsReference:
                     actorder=actorder,
                 )
                 for blocksize in BLOCKSIZES:
-                    blocked = quantize_with_hessian_blocked(
+                    blocked = quantize_with_hessian(
                         weight,
                         hessian,
                         bits=bits,
@@ -110,7 +110,7 @@ class TestBlockedEqualsReference:
             weight, hessian, bits=4, group_size=8
         )
         for blocksize in BLOCKSIZES:
-            blocked = quantize_with_hessian_blocked(
+            blocked = quantize_with_hessian(
                 weight, hessian, bits=4, group_size=8, blocksize=blocksize
             )
             assert_results_identical(reference, blocked, loss_exact=False)

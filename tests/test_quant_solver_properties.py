@@ -14,7 +14,6 @@ import pytest
 from repro.quant.groupwise import GroupQuantResult
 from repro.quant.solver import (
     MICRO_BLOCKSIZE,
-    SOLVER_MODES,
     HessianFactorCache,
     factorize_hessian,
     hessian_fingerprint,
@@ -163,12 +162,6 @@ class TestFactorCache:
 
 
 class TestValidation:
-    def test_unknown_mode_rejected(self):
-        weight, hessian = make_problem((8, 4), seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            quantize_with_hessian(weight, hessian, bits=4, mode="eager")
-        assert set(SOLVER_MODES) == {"blocked", "reference"}
-
     def test_bad_blocksize_rejected(self):
         weight, hessian = make_problem((8, 4), seed=0)
         with pytest.raises(ValueError, match="blocksize"):

@@ -1,21 +1,21 @@
 """Run a perf bench suite and write its ``BENCH_<suite>.json`` artifact.
 
-Usage:  python tools/bench.py [--suite quantize|serve|calibration]
-                              [--out PATH] [--quick] [--repeats N]
-                              [--workers N] [--append]
+Usage:  python tools/bench.py [--suite quantize|serve] [--out PATH]
+                              [--quick] [--repeats N] [--append]
 
-Thin wrapper around :mod:`repro.report.bench` that puts ``src/`` on the
-path first.  The default suite is ``quantize`` (solver + eval + pipeline
-+ calibration benches, artifact ``BENCH_quantize.json``); ``--suite
-serve`` runs the serving benches (paged decode + continuous batching
-with latency percentiles, artifact ``BENCH_serve.json``); ``--suite
-calibration`` re-measures just the calibration fast path (streamed
-captures, batched probes, the kron Hessian engine) without re-running
-the solver/eval benches.  The committed artifacts are validated by
-``tests/test_bench_schema.py``.  ``--quick`` shrinks the suite.
-``--append`` additionally appends a per-commit line to
-``BENCH_history.jsonl`` and regenerates the markdown trend table at
-``report/BENCH_trend.md``.
+Thin loop over the suite table of :mod:`repro.report.bench` that puts
+``src/`` on the path first.  The default suite is ``quantize`` (solver,
+eval, format, pipeline and calibration benches, artifact
+``BENCH_quantize.json``); ``--suite serve`` runs the serving benches
+(paged decode + continuous batching with latency percentiles, artifact
+``BENCH_serve.json``).  One line per record shows its timings, speedup
+and equivalence verdict; the report is written only when every record
+kept its bit-identity or stayed inside its declared error bounds
+(exit 1 otherwise).  The committed artifacts are validated by
+``tests/test_bench_schema.py``.  ``--quick`` shrinks every record group
+and skips the end-to-end pipeline bench.  ``--append`` additionally
+appends a per-commit line to ``BENCH_history.jsonl`` and regenerates the
+markdown trend table at ``report/BENCH_trend.md``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.report.bench import (  # noqa: E402
+    BENCH_SUITES,
     append_bench_history,
-    build_calibration_report,
-    build_quantize_report,
-    build_serve_report,
+    build_report,
+    format_record,
     load_bench_history,
     render_bench_trend,
     write_bench_report,
@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=("quantize", "serve", "calibration"),
+        choices=BENCH_SUITES,
         default="quantize",
         help="bench suite to run (default: quantize)",
     )
@@ -57,16 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="solver suite only (skip the end-to-end pipeline bench)",
+        help="shrunk record groups; skips the end-to-end pipeline bench",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for the pipeline bench",
     )
     parser.add_argument(
         "--append",
@@ -91,35 +85,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if args.suite == "serve":
-        report = build_serve_report(
-            repeats=args.repeats, quick=args.quick, timestamp=timestamp
-        )
-    elif args.suite == "calibration":
-        report = build_calibration_report(
-            repeats=args.repeats, quick=args.quick, timestamp=timestamp
-        )
-    else:
-        report = build_quantize_report(
-            repeats=args.repeats,
-            workers=args.workers,
-            quick=args.quick,
-            timestamp=timestamp,
-        )
-    out = args.out
-    if out is None:
-        out = ROOT / f"BENCH_{args.suite}.json"
-    path = write_bench_report(out, report)
+    report = build_report(args.suite, args.repeats, args.quick, timestamp)
     for record in report["records"]:
-        timings = ", ".join(
-            f"{label}={seconds:.4f}s"
-            for label, seconds in sorted(record["timings"].items())
-        )
-        print(
-            f"{record['name']}: {timings}  "
-            f"speedup={record['speedup']:.2f}x  "
-            f"bit_identical={record['bit_identical']}"
-        )
+        print(format_record(record))
+    out = args.out or ROOT / f"BENCH_{args.suite}.json"
+    try:
+        path = write_bench_report(out, report)
+    except ValueError as error:
+        print(f"bench: {error}", file=sys.stderr)
+        return 1
     print(f"wrote {path}")
     if args.append:
         entry = append_bench_history(args.history, report)

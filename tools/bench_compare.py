@@ -2,17 +2,19 @@
 
 Usage:  python tools/bench_compare.py [--suite quantize|serve]
                                       [--baseline PATH] [--tolerance F]
-                                      [--repeats N] [--workers N] [--quick]
+                                      [--repeats N] [--quick]
 
-Re-runs the selected perf suite and fails (exit 1) when any baseline
-record regresses: a record missing from the fresh run, a record that lost
-``bit_identical`` (or, for error-bounded records, whose fresh
-``equivalence`` block fell outside its declared bounds), or a speedup
-more than ``--tolerance`` (default 10%) below the committed number.  Extra fresh records are reported as
-informational "new benchmark" lines — never failures — so new benches can
-land before their baseline is refreshed.  ``--quick`` compares
-only the records the quick suite produces (solver + shrunk eval) — the
-full-suite records absent from a quick run are skipped, not failed.
+Re-runs the selected perf suite, prints one line per fresh record, and
+fails (exit 1) when any baseline record regresses: a record missing from
+the fresh run, a record that lost ``bit_identical`` (or, for
+error-bounded records, whose fresh ``equivalence`` block fell outside its
+declared bounds), or a speedup more than ``--tolerance`` (default 10%)
+below the committed number.  Extra fresh records are reported as
+informational "new benchmark" lines — never failures — so new benches
+can land before their baseline is refreshed.  ``--quick`` runs the
+shrunk suite: baseline records it does not produce are skipped, not
+failed, and shrunk records whose params differ from the baseline are
+skipped as not comparable.
 
 ``compare_reports`` is a pure function over the two report dicts so tests
 can exercise the gate without timing anything.
@@ -23,16 +25,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.report.bench import (  # noqa: E402
-    build_calibration_report,
-    build_quantize_report,
-    build_serve_report,
+    BENCH_SUITES,
+    build_report,
+    format_record,
 )
 
 #: Fresh speedups may sit this fraction below the baseline before failing.
@@ -141,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=("quantize", "serve", "calibration"),
+        choices=BENCH_SUITES,
         default="quantize",
         help="bench suite to re-run (default: quantize)",
     )
@@ -161,12 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats", type=int, default=3, help="best-of-N timing repeats"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for the pipeline bench",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="quick suite only; baseline records it does not produce are "
@@ -177,9 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     if not (0.0 <= args.tolerance < 1.0):
         print("bench-compare: --tolerance must be in [0, 1)", file=sys.stderr)
         return 2
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = ROOT / f"BENCH_{args.suite}.json"
+    baseline_path = args.baseline or ROOT / f"BENCH_{args.suite}.json"
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, ValueError) as error:
@@ -189,22 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if args.suite == "serve":
-        fresh = build_serve_report(
-            repeats=args.repeats, quick=args.quick, timestamp=timestamp
-        )
-    elif args.suite == "calibration":
-        fresh = build_calibration_report(
-            repeats=args.repeats, quick=args.quick, timestamp=timestamp
-        )
-    else:
-        fresh = build_quantize_report(
-            repeats=args.repeats,
-            workers=args.workers,
-            quick=args.quick,
-            timestamp=timestamp,
-        )
+    fresh = build_report(args.suite, args.repeats, args.quick)
+    for record in fresh["records"]:
+        print(format_record(record))
     lines, problems = compare_reports(
         baseline, fresh, tolerance=args.tolerance, allow_missing=args.quick
     )

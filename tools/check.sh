@@ -36,11 +36,5 @@ python tools/bench_compare.py --repeats 5 --tolerance 0.25
 echo "== serve bench gate (vs committed BENCH_serve.json) =="
 python tools/bench_compare.py --suite serve --repeats 3 --tolerance 0.25
 
-echo "== eval fast-path smoke (fused NLL / KV cache / packed forward) =="
-python benchmarks/perf/eval_speed.py --smoke
-
-echo "== calibration fast-path smoke (streamed captures / batched probes / kron) =="
-python benchmarks/perf/calibration_speed.py --smoke
-
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
