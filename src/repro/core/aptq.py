@@ -59,8 +59,7 @@ from repro.runtime import faults
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.errors import CheckpointError
 from repro.runtime.journal import DegradationEvent, RunHealth, RunJournal
-from repro.runtime.parallel import SolverTask, run_solver_tasks
-from repro.runtime.recovery import RecoveryPolicy
+from repro.runtime.recovery import RecoveryPolicy, SolverTask, run_solver_tasks
 
 __all__ = ["APTQConfig", "APTQResult", "aptq_quantize_model"]
 
@@ -109,10 +108,9 @@ class APTQConfig:
     resume: bool = False
     # Recovery-ladder policy applied to every solver call.
     recovery: RecoveryPolicy = dataclasses.field(default_factory=RecoveryPolicy)
-    # Fan independent solver tasks within each protocol stage (attention
-    # heads/projections of a block; its MLP layers; the tail layers) out
-    # over this many worker processes; 0 runs serially.  Results are
-    # bit-identical for every value (see repro.runtime.parallel).
+    # Fan the sensitivity pass's per-block Hessian accumulation out over
+    # this many forked worker processes; 0 runs serially.  Solver stages
+    # always run serially.  Results are bit-identical for every value.
     workers: int = 0
 
 
@@ -142,8 +140,8 @@ def _run_fingerprint(
 
     A checkpoint is only resumable by a run with the same fingerprint;
     runtime-only knobs (``checkpoint_path``, ``resume``, ``workers`` —
-    parallel execution is bit-identical to serial) are excluded so
-    toggling them never invalidates a checkpoint.
+    the forked sensitivity pass is bit-identical to the serial one) are
+    excluded so toggling them never invalidates a checkpoint.
     """
     record = {
         "config": {
@@ -384,6 +382,8 @@ def aptq_quantize_model(
             f"unknown hessian_mode {config.hessian_mode!r}; expected one "
             f"of {HESSIAN_MODES}"
         )
+    if config.workers < 0:
+        raise ValueError(f"workers must be non-negative, got {config.workers}")
     fmt: QuantFormat | None = None
     if config.format != "int":
         fmt = resolve_format(config.format)
@@ -522,7 +522,7 @@ def aptq_quantize_model(
         }
         # All four projection Hessians were computed above, before any of
         # the block's weights change, so the per-projection (and per-head)
-        # solves are independent: one executor stage.
+        # solves are independent: one solver stage.
         stage_tasks: list[SolverTask] = []
         spans: list[tuple[str, slice, bool]] = []
         format_stage: list[str] = []
@@ -548,7 +548,6 @@ def aptq_quantize_model(
             stage_tasks.extend(tasks)
         stage_results = run_solver_tasks(
             stage_tasks,
-            workers=config.workers,
             policy=config.recovery,
             journal=journal,
             cache=factor_cache,
@@ -596,7 +595,6 @@ def aptq_quantize_model(
                 ]
                 mlp_results = run_solver_tasks(
                     mlp_tasks,
-                    workers=config.workers,
                     policy=config.recovery,
                     journal=journal,
                     cache=factor_cache,
@@ -659,7 +657,6 @@ def aptq_quantize_model(
         ]
         tail_results = run_solver_tasks(
             tail_tasks,
-            workers=config.workers,
             policy=config.recovery,
             journal=journal,
             cache=factor_cache,

@@ -13,9 +13,11 @@ The sensitivity pass runs on the *frozen* full-precision model, so the
 attention captures stream through a single forward per calibration batch
 (:class:`~repro.core.hessian.CalibrationCaptureStream` with
 ``frozen=True``) instead of one forward per ``(block, batch)`` pair, and
-the per-block Hessian accumulation can fan out over worker processes
-(``workers > 0``) — each block's estimator is independent and
-deterministic, so parallel results are bit-identical to serial.
+the per-block Hessian accumulation can fan out over forked worker
+processes (``workers > 0``) — each block's estimator is independent and
+deterministic, so parallel results are bit-identical to serial.  This
+fan-out is the only fork between quantize and eval; solver stages and
+evaluation run serially.
 """
 
 from __future__ import annotations
@@ -37,9 +39,16 @@ from repro.core.kron import (
 from repro.data.calibration import CalibrationSet
 from repro.nn.transformer import LlamaModel
 from repro.quant.calibration_hooks import collect_input_stats
-from repro.runtime.parallel import MIN_PARALLEL_COST, run_parallel_map
+from repro.runtime.parallel import run_parallel_map
 
 __all__ = ["LayerSensitivity", "compute_sensitivities"]
+
+#: Estimated accumulation FLOPs below which the per-block fan-out costs
+#: more than it saves.  Fork + pickle overhead is ~50-100 ms; at ~1 GFLOP/s
+#: of useful numpy throughput that is ~5e7 floating-point operations, so
+#: a pass whose estimated cost sits below this bound runs serially even
+#: when ``workers > 0`` was requested.
+MIN_PARALLEL_COST = 5e7
 
 _ATTENTION_PROJECTIONS = ("q_proj", "k_proj", "v_proj", "o_proj")
 
@@ -71,14 +80,16 @@ def compute_sensitivities(
     Hessians so the quantization pass can reuse them instead of
     recomputing.  ``hessian_mode`` selects the q/k engine (``"probed"`` —
     exact estimator — or ``"kron"``, see :mod:`repro.core.kron`);
-    ``workers > 0`` accumulates block Hessians in parallel (bit-identical
-    to serial).
+    ``workers > 0`` accumulates block Hessians in forked worker processes
+    (bit-identical to serial).
     """
     if hessian_mode not in HESSIAN_MODES:
         raise ValueError(
             f"unknown hessian_mode {hessian_mode!r}; expected one of "
             f"{HESSIAN_MODES}"
         )
+    if workers < 0:
+        raise ValueError(f"workers must be non-negative, got {workers}")
     layers = model.quantizable_linears()
     sensitivities: dict[str, LayerSensitivity] = {}
 

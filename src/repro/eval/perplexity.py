@@ -1,10 +1,8 @@
 """Corpus perplexity evaluation (the paper's Table 1 metric).
 
-The hot path is fused and parallelisable: per-token NLL goes through
-:func:`repro.nn.functional.gather_nll` (no ``(batch, seq, vocab)``
-log-prob tensor is ever materialised), and with ``workers > 0`` the
-window batches fan out over a forked pool with an order-preserving merge,
-so ``workers=N`` returns bit-identical floats to ``workers=0``.
+The hot path is fused: per-token NLL goes through
+:func:`repro.nn.functional.gather_nll`, so no ``(batch, seq, vocab)``
+log-prob tensor is ever materialised.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.transformer import LlamaModel
-from repro.runtime.parallel import EVAL_AUTO_SERIAL_MIN_TOKENS, run_parallel_map
 
 __all__ = ["token_nll", "perplexity"]
 
@@ -23,15 +20,12 @@ def token_nll(
     tokens: np.ndarray,
     seq_len: int | None = None,
     batch_size: int = 16,
-    workers: int = 0,
 ) -> float:
     """Mean next-token negative log-likelihood over ``tokens``.
 
     The stream is cut into non-overlapping ``seq_len``-token windows (the
     standard strided perplexity protocol); a trailing remainder shorter than
-    two tokens is dropped.  ``workers > 0`` fans window batches out over a
-    forked pool (serial below :data:`EVAL_AUTO_SERIAL_MIN_TOKENS` total
-    tokens — tiny evaluations never pay fork overhead).
+    two tokens is dropped.
     """
     tokens = np.asarray(tokens)
     seq_len = seq_len or model.config.max_seq_len
@@ -43,30 +37,14 @@ def token_nll(
             f"stream of {tokens.size} tokens shorter than one window ({seq_len})"
         )
     windows = tokens[: n_windows * seq_len].reshape(n_windows, seq_len)
-    starts = range(0, n_windows, batch_size)
-
-    def batch_nll(start: int) -> tuple[float, int]:
+    total_nll = 0.0
+    total_count = 0
+    for start in range(0, n_windows, batch_size):
         batch = windows[start : start + batch_size]
         logits = model.forward_array(batch[:, :-1])
         nll = F.gather_nll(logits, batch[:, 1:])
-        return float(nll.sum()), nll.size
-
-    partials = run_parallel_map(
-        batch_nll,
-        list(starts),
-        workers=workers,
-        cost=float(n_windows * seq_len),
-        min_cost=EVAL_AUTO_SERIAL_MIN_TOKENS,
-        label="perplexity windows",
-    )
-    # Order-preserving merge: the parent accumulates per-batch sums in the
-    # same batch order as the serial loop, so workers=N is bit-identical
-    # to workers=0.
-    total_nll = 0.0
-    total_count = 0
-    for batch_sum, batch_count in partials:
-        total_nll += batch_sum
-        total_count += batch_count
+        total_nll += float(nll.sum())
+        total_count += nll.size
     return total_nll / total_count
 
 
@@ -75,7 +53,6 @@ def perplexity(
     tokens: np.ndarray,
     seq_len: int | None = None,
     batch_size: int = 16,
-    workers: int = 0,
 ) -> float:
     """``exp(mean NLL)`` of ``tokens`` under ``model``.
 
@@ -83,5 +60,5 @@ def perplexity(
     catastrophically bad model reports a huge finite perplexity (~1e304)
     instead of ``inf``, which would poison downstream table averages.
     """
-    nll = token_nll(model, tokens, seq_len, batch_size, workers=workers)
+    nll = token_nll(model, tokens, seq_len, batch_size)
     return float(np.exp(np.minimum(nll, 700.0)))

@@ -44,23 +44,15 @@ def evaluate_model(
     eval_streams: Optional[dict[str, np.ndarray]] = None,
     suites: Optional[list[TaskSuite]] = None,
     seq_len: Optional[int] = None,
-    workers: int = 0,
 ) -> EvaluationReport:
-    """Evaluate ``model`` on perplexity streams and/or task suites.
-
-    ``workers`` fans perplexity windows and zero-shot suites out over a
-    forked pool (see :mod:`repro.runtime.parallel`); results are identical
-    to serial evaluation for every value.
-    """
+    """Evaluate ``model`` on perplexity streams and/or task suites."""
     perplexities: dict[str, float] = {}
     if eval_streams:
         for corpus_name, stream in eval_streams.items():
-            perplexities[corpus_name] = perplexity(
-                model, stream, seq_len=seq_len, workers=workers
-            )
+            perplexities[corpus_name] = perplexity(model, stream, seq_len=seq_len)
     zero_shot: dict[str, float] = {}
     if suites:
-        zero_shot = evaluate_suites(model, suites, workers=workers)
+        zero_shot = evaluate_suites(model, suites)
     return EvaluationReport(
         label=label,
         average_bits=average_bits,

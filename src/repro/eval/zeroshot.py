@@ -6,10 +6,7 @@ tokens given the context, normalise by continuation length, and pick the
 argmax.
 
 Per-token log-likelihoods go through the fused
-:func:`repro.nn.functional.gather_nll` (no full-vocab log-prob tensor),
-and ``workers > 0`` fans independent task suites out over a forked pool
-with an order-preserving merge — per-suite accuracies are computed
-independently, so parallel results are identical to serial ones.
+:func:`repro.nn.functional.gather_nll` (no full-vocab log-prob tensor).
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import numpy as np
 from repro.data.tasks import MultipleChoiceExample, TaskSuite
 from repro.nn import functional as F
 from repro.nn.transformer import LlamaModel
-from repro.runtime.parallel import EVAL_AUTO_SERIAL_MIN_TOKENS, run_parallel_map
 
 __all__ = ["choice_loglikelihoods", "evaluate_suite", "evaluate_suites"]
 
@@ -60,40 +56,15 @@ def evaluate_suite(
     return correct / len(suite.examples)
 
 
-def _suite_cost(suite: TaskSuite) -> float:
-    """Rough token count of a suite (auto-serial threshold input)."""
-    return float(
-        sum(
-            example.context.size + sum(c.size for c in example.choices)
-            for example in suite.examples
-        )
-    )
-
-
 def evaluate_suites(
     model: LlamaModel,
     suites: list[TaskSuite],
     length_normalise: bool = True,
-    workers: int = 0,
 ) -> dict[str, float]:
-    """Accuracy per suite plus the cross-suite mean under key ``"mean"``.
-
-    ``workers > 0`` scores suites in parallel (forked pool, order-preserving
-    merge); below :data:`EVAL_AUTO_SERIAL_MIN_TOKENS` total tokens the
-    executor stays serial so tiny suites never pay fork overhead.
-    """
-    # Workers receive suite *indices* (the suites themselves ride along in
-    # the forked address space), so nothing heavy crosses the task queue.
-    accuracies = run_parallel_map(
-        lambda index: evaluate_suite(model, suites[index], length_normalise),
-        list(range(len(suites))),
-        workers=workers,
-        cost=sum(_suite_cost(suite) for suite in suites),
-        min_cost=EVAL_AUTO_SERIAL_MIN_TOKENS,
-        label="zero-shot suites",
-    )
+    """Accuracy per suite plus the cross-suite mean under key ``"mean"``."""
     results = {
-        suite.name: accuracy for suite, accuracy in zip(suites, accuracies)
+        suite.name: evaluate_suite(model, suite, length_normalise)
+        for suite in suites
     }
     results["mean"] = float(np.mean(list(results.values())))
     return results

@@ -376,24 +376,23 @@ def _sweep_blocked(
                 quantized[row] = row_quant
                 err = (block_weight[local] - row_quant) / block_inv[local, local]
                 # Tile flushes run in the fixed row/tile/block order the
-                # sweep defines; bit-identity against _sweep_reference and
-                # across workers is pinned by
-                # tests/test_quant_differential.py.
-                loss += 0.5 * float((err**2).sum())  # lint: disable=wp-order-dependent-reduction
+                # sweep defines; bit-identity against _sweep_reference is
+                # pinned by tests/test_quant_differential.py.
+                loss += 0.5 * float((err**2).sum())
                 if local + 1 < micro_end:
-                    block_weight[local + 1 : micro_end] -= np.outer(  # lint: disable=wp-order-dependent-reduction
+                    block_weight[local + 1 : micro_end] -= np.outer(
                         block_inv[local, local + 1 : micro_end], err
                     )
                 block_errors[local] = err
             # Flush the tile's errors into the rest of the block.
             if micro_end < count:
-                block_weight[micro_end:] -= (  # lint: disable=wp-order-dependent-reduction
+                block_weight[micro_end:] -= (
                     block_inv[micro_start:micro_end, micro_end:].T
                     @ block_errors[micro_start:micro_end]
                 )
         # Lazy-batched rank-B compensation of all rows after the block.
         if block_end < d_in:
-            working[block_end:] -= (  # lint: disable=wp-order-dependent-reduction
+            working[block_end:] -= (
                 inv_upper[block_start:block_end, block_end:].T @ block_errors
             )
     return quantized, codes, loss

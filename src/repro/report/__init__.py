@@ -10,7 +10,6 @@ from repro.report.bench import (
     build_report,
     eval_bench_records,
     format_record,
-    pipeline_bench_record,
     solver_bench_records,
     validate_bench_report,
     write_bench_report,
@@ -28,7 +27,6 @@ __all__ = [
     "build_report",
     "eval_bench_records",
     "format_record",
-    "pipeline_bench_record",
     "solver_bench_records",
     "validate_bench_report",
     "write_bench_report",

@@ -5,10 +5,10 @@ root (via ``tools/bench.py``): schema-versioned reports comparing the
 lazy-batch blocked solver against the column-at-a-time reference sweep,
 the Cholesky factor cache against cold factorization, the inference fast
 paths (fused NLL, KV-cached decoding, memoised packed forward) against
-their unfused/uncached twins, the parallel APTQ executor against serial
-execution, the calibration fast path (streamed captures, batched probes,
-the Kronecker-factored Hessian engine) against the legacy per-block
-protocol, and the serving layer against serial decoding.
+their unfused/uncached twins, the calibration fast path (streamed
+captures, batched probes, the Kronecker-factored Hessian engine) against
+the legacy per-block protocol, and the serving layer against serial
+decoding.
 
 Every record goes through one measure protocol, :func:`_measure`: run the
 reference and the fast side once, compare their outputs, then time both.
@@ -54,7 +54,6 @@ __all__ = [
     "solver_bench_records",
     "eval_bench_records",
     "format_bench_records",
-    "pipeline_bench_record",
     "calibration_bench_records",
     "serve_bench_records",
     "build_report",
@@ -424,71 +423,6 @@ def format_bench_records(repeats: int = 3, size: int = 512) -> list[dict]:
     return records
 
 
-def pipeline_bench_record(repeats: int = 3) -> dict:
-    """Time end-to-end APTQ on a micro model, serial vs 2 worker processes.
-
-    The micro model sits far below the executor's auto-serial cost
-    threshold, so the workers run declines to fork and the recorded
-    speedup hovers around 1.0; the record's value is the bit-identity
-    flag, the ``auto_serial`` marker, and the absolute timings tracked
-    across the perf trajectory.
-    """
-    # Imported here: repro.report is a leaf package that the core imports
-    # for health rendering (top-level import cycle otherwise).
-    from repro.core.aptq import APTQConfig, aptq_quantize_model
-    from repro.data.calibration import CalibrationSet
-    from repro.nn.transformer import LlamaConfig, LlamaModel
-
-    workers = 2
-    config = LlamaConfig(
-        vocab_size=64,
-        d_model=16,
-        n_layers=2,
-        n_heads=2,
-        d_ff=24,
-        max_seq_len=32,
-    )
-    rng = np.random.default_rng(SEED)
-    segments = rng.integers(0, config.vocab_size, size=(6, 12))
-    calibration = CalibrationSet(
-        segments=segments, corpus_name="synthetic", seed=SEED
-    )
-    params = {
-        "workers": workers,
-        "d_model": config.d_model,
-        "n_layers": config.n_layers,
-        "repeats": repeats,
-        "seed": SEED,
-    }
-
-    def run(n_workers: int):
-        model = LlamaModel(config, seed=SEED)
-        result = aptq_quantize_model(
-            model, calibration, APTQConfig(ratio_4bit=0.5, workers=n_workers)
-        )
-        return model.state_dict(), result
-
-    def same_states(serial, parallel) -> bool:
-        # Did the minimum-work heuristic engage on the workers run?  (It
-        # should for this micro model; the flag makes the trajectory
-        # self-describing.)
-        params["auto_serial"] = any(
-            event.category == "scheduler"
-            for event in parallel[1].health.events
-        )
-        return _arrays_equal(serial[0], parallel[0])
-
-    return _measure(
-        f"aptq-micro-workers{workers}",
-        "pipeline",
-        params,
-        ("serial", lambda: run(0)),
-        ("parallel", lambda: run(workers)),
-        repeats,
-        same_states,
-    )
-
-
 def calibration_bench_records(
     repeats: int = 3, n_layers: int = 12, n_segments: int = 4
 ) -> list[dict]:
@@ -514,7 +448,8 @@ def calibration_bench_records(
       Hutchinson trace against the per-probe loop (identical rng element
       stream), error-bounded at machine precision.
     """
-    # Imported here for the same leaf-package reason as the pipeline bench.
+    # Imported here: repro.report is a leaf package that the core imports
+    # for health rendering (top-level import cycle otherwise).
     from repro.core.aptq import APTQConfig, aptq_quantize_model
     from repro.core.hessian import (
         CalibrationCaptureStream,
@@ -867,8 +802,8 @@ def serve_bench_records(
 
 
 #: Record groups of each suite, with the keyword arguments that shrink a
-#: group for ``quick`` runs (``None``: the group is left out of them).
-_SUITES: dict[str, list[tuple[Callable[..., object], dict | None]]] = {
+#: group for ``quick`` runs.
+_SUITES: dict[str, list[tuple[Callable[..., list[dict]], dict]]] = {
     "quantize": [
         (solver_bench_records, {}),
         (
@@ -881,7 +816,6 @@ _SUITES: dict[str, list[tuple[Callable[..., object], dict | None]]] = {
             },
         ),
         (format_bench_records, {"repeats": 1, "size": 64}),
-        (pipeline_bench_record, None),
         (
             calibration_bench_records,
             {"repeats": 1, "n_layers": 4, "n_segments": 2},
@@ -907,17 +841,13 @@ def build_report(
     The full run backs the committed ``BENCH_<suite>.json`` that
     ``tools/bench_compare.py`` gates against.  ``quick`` runs each group
     with its shrunk arguments from the suite table (smaller problems, one
-    timing repeat) and skips the groups that have none (the end-to-end
-    pipeline bench), for tier-1 smoke use.
+    timing repeat), for tier-1 smoke use.
     """
     records: list[dict] = []
     for records_fn, quick_kwargs in _SUITES[suite]:
-        if quick and quick_kwargs is None:
-            continue
-        result = records_fn(
-            **{"repeats": repeats, **(quick_kwargs if quick else {})}
+        records.extend(
+            records_fn(**{"repeats": repeats, **(quick_kwargs if quick else {})})
         )
-        records.extend([result] if isinstance(result, dict) else result)
     report = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "suite": suite,

@@ -45,21 +45,15 @@ from repro.runtime.faults import (
     truncate_file,
 )
 from repro.runtime.journal import DegradationEvent, RunHealth, RunJournal
-from repro.runtime.parallel import (
-    EVAL_AUTO_SERIAL_MIN_TOKENS,
-    MIN_PARALLEL_COST,
-    ForkedWorker,
-    SolverTask,
-    run_parallel_map,
-    run_solver_tasks,
-    solver_task_cost,
-)
+from repro.runtime.parallel import ForkedWorker, run_parallel_map
 from repro.runtime.recovery import (
     LADDER_RUNGS,
     RecoveryPolicy,
+    SolverTask,
     clip_hessian_eigenvalues,
     hessian_inverse,
     robust_quantize_layer,
+    run_solver_tasks,
 )
 
 __all__ = [
@@ -89,9 +83,6 @@ __all__ = [
     "SolverTask",
     "run_solver_tasks",
     "run_parallel_map",
-    "solver_task_cost",
-    "MIN_PARALLEL_COST",
-    "EVAL_AUTO_SERIAL_MIN_TOKENS",
     "atomic_write_bytes",
     "atomic_save_npz",
     "sha256_of_file",

@@ -25,6 +25,12 @@ With the terminal rung enabled (the default) every layer quantizes
 eventually; a disabled terminal rung turns exhaustion into
 :class:`~repro.runtime.errors.NumericalRecoveryError`.
 
+A protocol stage of the APTQ pipeline (one block's attention
+projections and heads, its MLP, the tail layers) is a list of
+:class:`SolverTask` records; :func:`run_solver_tasks` solves them in
+order behind the ladder, so results and ladder events come back in task
+order.
+
 This module and :mod:`repro.quant.solver` are the only places allowed to
 call ``np.linalg.cholesky`` / ``np.linalg.inv`` directly — the
 ``runtime-raw-linalg`` lint rule enforces that everything else routes
@@ -34,7 +40,7 @@ through the ladder.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, MutableMapping, Optional
+from typing import TYPE_CHECKING, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +56,8 @@ __all__ = [
     "RecoveryPolicy",
     "clip_hessian_eigenvalues",
     "robust_quantize_layer",
+    "SolverTask",
+    "run_solver_tasks",
     "hessian_inverse",
 ]
 
@@ -234,6 +242,55 @@ def robust_quantize_layer(
         bits=bits,
     )
     return _rtn_solver_result(weight, bits, group_size)
+
+
+@dataclasses.dataclass
+class SolverTask:
+    """One layer (or head-slice) quantization problem of a protocol stage.
+
+    ``key`` names the task in journals (layer name, optionally with a
+    ``[head h]`` suffix); the remaining fields are the arguments of
+    :func:`robust_quantize_layer`.
+    """
+
+    key: str
+    weight: np.ndarray
+    hessian: np.ndarray
+    bits: int
+    group_size: int | None = None
+    percdamp: float = 0.01
+    # Quantize against ``hessian_scale · hessian`` (KronQ per-head scale);
+    # 1.0 is the plain path.
+    hessian_scale: float = 1.0
+
+
+def run_solver_tasks(
+    tasks: Sequence[SolverTask],
+    *,
+    policy: Optional[RecoveryPolicy] = None,
+    journal: Optional[RunJournal] = None,
+    cache: Optional["HessianFactorCache"] = None,
+) -> list["SolverResult"]:
+    """Solve ``tasks`` in order behind the ladder; results in task order.
+
+    Ladder events land in ``journal`` in task order; ``cache`` reuses
+    Cholesky factors across tasks that share a Hessian.
+    """
+    return [
+        robust_quantize_layer(
+            task.weight,
+            task.hessian,
+            bits=task.bits,
+            group_size=task.group_size,
+            percdamp=task.percdamp,
+            policy=policy,
+            journal=journal,
+            layer=task.key,
+            cache=cache,
+            hessian_scale=task.hessian_scale,
+        )
+        for task in tasks
+    ]
 
 
 def hessian_inverse(

@@ -6,9 +6,12 @@ are session-scoped so the suite stays fast on a single core.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import repro.core.sensitivity as sensitivity
 from repro.data.calibration import sample_calibration
 from repro.data.corpus import (
     SyntheticCorpus,
@@ -103,6 +106,25 @@ def trained_micro_model(corpus_splits) -> LlamaModel:
                        lr=6e-3, warmup_steps=30),
     ).fit(corpus_splits.train)
     return model
+
+
+@pytest.fixture
+def forced_fork(monkeypatch) -> list:
+    """Make the sensitivity pass fork even for micro models.
+
+    Drops ``MIN_PARALLEL_COST`` to zero and returns the start method of
+    every multiprocessing context requested while the test runs.
+    """
+    monkeypatch.setattr(sensitivity, "MIN_PARALLEL_COST", 0.0)
+    requested: list = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        requested.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return requested
 
 
 def clone(model: LlamaModel) -> LlamaModel:

@@ -111,21 +111,6 @@ class TestCommittedArtifact:
             assert record["bit_identical"] is True, record
             assert record["speedup"] > 1.0, record
 
-    def test_committed_pipeline_no_longer_reports_slowdown(self):
-        # The pre-PR-5 artifact recorded aptq-micro-workers2 at 0.29x (fork
-        # overhead on micro work).  With the minimum-work auto-serial
-        # heuristic the workers run declines to fork, so the honest timing
-        # must sit near parity.
-        report = json.loads(ARTIFACT.read_text())
-        pipeline = [
-            r for r in report["records"] if r["kind"] == "pipeline"
-        ]
-        assert pipeline, "no pipeline record in BENCH_quantize.json"
-        for record in pipeline:
-            assert record["params"]["auto_serial"] is True, record
-            assert record["speedup"] >= 0.8, record
-            assert record["bit_identical"] is True
-
     def test_committed_calibration_records_meet_bar(self):
         # Calibration fast-path acceptance: the streamed+batched capture
         # path shows >=2x over the legacy per-block protocol and stays

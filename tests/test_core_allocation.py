@@ -172,3 +172,7 @@ class TestComputeSensitivities:
         )
         assert sensitivities["blocks.0.self_attn.q_proj"].is_attention
         assert not sensitivities["blocks.0.mlp.up_proj"].is_attention
+
+    def test_negative_workers_rejected(self, trained_micro_model, calibration):
+        with pytest.raises(ValueError, match="workers"):
+            compute_sensitivities(trained_micro_model, calibration, workers=-1)

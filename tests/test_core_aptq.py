@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.aptq as aptq_module
 from repro.core.aptq import APTQConfig, aptq_quantize_model
 from repro.core.allocation import manual_blockwise_allocation
 from repro.eval import perplexity
@@ -86,6 +87,20 @@ class TestAPTQConfigs:
             aptq_quantize_model(
                 model, calibration,
                 APTQConfig(allocation_override={"blocks.0.mlp.up_proj": 4}),
+            )
+
+    def test_negative_workers_rejected_before_any_work(
+        self, trained_micro_model, calibration, monkeypatch
+    ):
+        def sensitivity_pass(*args, **kwargs):
+            raise AssertionError("the sensitivity pass ran")
+
+        monkeypatch.setattr(
+            aptq_module, "compute_sensitivities", sensitivity_pass
+        )
+        with pytest.raises(ValueError, match="workers"):
+            aptq_quantize_model(
+                clone(trained_micro_model), calibration, APTQConfig(workers=-1)
             )
 
     def test_kwarg_overrides(self, trained_micro_model, calibration):

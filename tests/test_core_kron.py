@@ -33,6 +33,17 @@ from repro.quant.solver import (
 from tests.conftest import clone
 
 
+def hessian_arrays(hessians) -> list[np.ndarray]:
+    """Every array of one block's attention Hessians, probed or kron."""
+    arrays = []
+    for family in (hessians.q, hessians.k, hessians.v, hessians.o):
+        if isinstance(family, KronFactor):
+            arrays += [family.input_gram, family.gains, family.output_factors]
+        else:
+            arrays.append(np.asarray(family))
+    return arrays
+
+
 @pytest.fixture(scope="module")
 def kron_setup():
     rng = np.random.default_rng(13)
@@ -233,19 +244,33 @@ class TestKronPipeline:
         assert delta < 0.10
 
     def test_kron_sensitivities_parallel_bit_identical(
-        self, trained_micro_model, calibration
+        self, trained_micro_model, calibration, forced_fork
     ):
-        serial = compute_sensitivities(
-            trained_micro_model, calibration, n_probes=2,
-            hessian_mode="kron", workers=0,
-        )
-        parallel = compute_sensitivities(
-            trained_micro_model, calibration, n_probes=2,
-            hessian_mode="kron", workers=2,
-        )
-        assert set(serial) == set(parallel)
-        for name in serial:
-            assert serial[name].mean_trace == parallel[name].mean_trace
+        # Covers both engines: the forked pass is the pipeline's only fork.
+        for mode in HESSIAN_MODES:
+            runs = []
+            for workers in (0, 2):
+                cache = {}
+                traces = compute_sensitivities(
+                    trained_micro_model, calibration, n_probes=2,
+                    attention_cache=cache, hessian_mode=mode,
+                    workers=workers,
+                )
+                runs.append((traces, cache))
+            (serial, serial_cache), (parallel, parallel_cache) = runs
+            assert set(serial) == set(parallel)
+            for name in serial:
+                assert np.array_equal(
+                    serial[name].mean_trace, parallel[name].mean_trace
+                ), (mode, name)
+            assert set(serial_cache) == set(parallel_cache)
+            for block in serial_cache:
+                expected = hessian_arrays(serial_cache[block])
+                actual = hessian_arrays(parallel_cache[block])
+                assert len(expected) == len(actual)
+                for a, b in zip(expected, actual):
+                    assert np.array_equal(a, b), (mode, block)
+        assert forced_fork == ["fork"] * len(HESSIAN_MODES)
 
     def test_kron_reconstruction_tracks_probed_shape(self, kron_setup):
         # Not bit-identical — but the Kronecker sketch must point the

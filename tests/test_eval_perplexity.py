@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-import importlib
-
 from repro.eval.perplexity import perplexity, token_nll
-
-# The package re-exports the ``perplexity`` *function* under the same name,
-# so attribute lookup on ``repro.eval`` finds the function; go through the
-# module registry to patch module globals.
-perplexity_module = importlib.import_module("repro.eval.perplexity")
 
 
 class TestTokenNLL:
@@ -44,43 +37,6 @@ class TestTokenNLL:
         a = token_nll(micro_model, tokens, seq_len=32)
         b = token_nll(micro_model, tokens[:64], seq_len=32)
         assert a == pytest.approx(b)
-
-
-class TestWorkers:
-    def test_workers_bitwise_equal_serial(
-        self, trained_micro_model, corpus_splits, monkeypatch
-    ):
-        # Drop the auto-serial floor so the pooled path actually forks even
-        # for this micro stream; the order-preserving merge must reproduce
-        # the serial float exactly.
-        monkeypatch.setattr(
-            perplexity_module, "EVAL_AUTO_SERIAL_MIN_TOKENS", 0.0
-        )
-        stream = corpus_splits.validation[:2000]
-        serial = token_nll(
-            trained_micro_model, stream, seq_len=32, batch_size=8, workers=0
-        )
-        pooled = token_nll(
-            trained_micro_model, stream, seq_len=32, batch_size=8, workers=2
-        )
-        assert serial == pooled
-
-    def test_small_stream_stays_serial_with_workers(
-        self, trained_micro_model, corpus_splits
-    ):
-        # Below the auto-serial token floor the result must still be the
-        # serial float even when workers are requested.
-        stream = corpus_splits.validation[:2000]
-        serial = token_nll(trained_micro_model, stream, seq_len=32)
-        requested = token_nll(
-            trained_micro_model, stream, seq_len=32, workers=4
-        )
-        assert serial == requested
-
-    def test_negative_workers_rejected(self, micro_model, rng):
-        tokens = rng.integers(0, 256, size=200)
-        with pytest.raises(ValueError):
-            token_nll(micro_model, tokens, seq_len=32, workers=-1)
 
 
 class TestPerplexity:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-import importlib
-
 from repro.data.tasks import MultipleChoiceExample, TaskSuite, build_task_suite
-
-zeroshot_module = importlib.import_module("repro.eval.zeroshot")
 from repro.eval.zeroshot import (
     choice_loglikelihoods,
     evaluate_suite,
@@ -107,27 +103,3 @@ class TestEvaluateSuites:
         assert results["mean"] == pytest.approx(
             (results["s0"] + results["s1"]) / 2
         )
-
-    def test_workers_equal_serial(
-        self, trained_micro_model, single_corpus, monkeypatch
-    ):
-        # Force the pool (the micro suites sit below the auto-serial token
-        # floor) and check the order-preserving merge reproduces the serial
-        # per-suite accuracies exactly.
-        monkeypatch.setattr(
-            zeroshot_module, "EVAL_AUTO_SERIAL_MIN_TOKENS", 0.0
-        )
-        suites = [
-            build_task_suite(
-                f"s{i}",
-                single_corpus.grammars[0],
-                single_corpus.tokenizer,
-                n_examples=8,
-                distractor="random",
-                seed=i,
-            )
-            for i in range(3)
-        ]
-        serial = evaluate_suites(trained_micro_model, suites, workers=0)
-        pooled = evaluate_suites(trained_micro_model, suites, workers=2)
-        assert serial == pooled

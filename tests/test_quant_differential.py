@@ -1,12 +1,12 @@
 """Differential tests: every fast path is bit-identical to the slow path.
 
 The performance engine (lazy-batch blocked solver, Cholesky factor cache,
-multiprocessing executor) is only landable because each fast path is
+forked sensitivity pass) is only landable because each fast path is
 provably a pure reordering of the same arithmetic.  These tests pin that
 claim with ``np.array_equal`` — never ``allclose`` — over a seeded matrix
 of shapes, group sizes, damping values, bit-widths, activation orders,
-and blocksizes, and over end-to-end APTQ runs with ``workers=2`` vs
-``workers=0``.
+and blocksizes, and over end-to-end APTQ runs with ``workers=2`` (a
+forced fork of the sensitivity pass) vs ``workers=0``.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from repro.quant.solver import (
     quantize_with_hessian,
     quantize_with_hessian_reference,
 )
+from repro.runtime.faults import FaultInjector
 from repro.runtime.journal import RunJournal
-from repro.runtime.parallel import SolverTask, run_solver_tasks
 
 SHAPES = [(17, 5), (32, 32), (48, 20), (64, 16)]
 GROUP_SIZES = [8, 12, None]
@@ -116,103 +116,6 @@ class TestBlockedEqualsReference:
             assert_results_identical(reference, blocked, loss_exact=False)
 
 
-def make_tasks(n_tasks=6, seed=11):
-    """Independent solver tasks over assorted shapes/bits."""
-    tasks = []
-    for index in range(n_tasks):
-        weight, hessian = make_problem((16 + 4 * index, 8), seed + index)
-        tasks.append(
-            SolverTask(
-                key=f"task{index}",
-                weight=weight,
-                hessian=hessian,
-                bits=2 + 2 * (index % 2),
-                group_size=8,
-            )
-        )
-    return tasks
-
-
-class TestExecutorParity:
-    def test_parallel_matches_serial_bitwise(self):
-        # min_parallel_cost=0 forces the pool even for these micro tasks —
-        # the point is pool-vs-serial numerics, not the scheduler.
-        tasks = make_tasks()
-        serial_journal, parallel_journal = RunJournal(), RunJournal()
-        serial = run_solver_tasks(tasks, workers=0, journal=serial_journal)
-        parallel_results = run_solver_tasks(
-            tasks, workers=2, journal=parallel_journal, min_parallel_cost=0
-        )
-        assert len(serial) == len(parallel_results) == len(tasks)
-        for a, b in zip(serial, parallel_results):
-            assert_results_identical(a, b)
-        assert [e.to_json() for e in serial_journal.events] == [
-            e.to_json() for e in parallel_journal.events
-        ]
-
-    def test_auto_serial_below_cost_threshold(self):
-        # Micro tasks sit far below MIN_PARALLEL_COST: workers=2 must stay
-        # serial, record exactly one scheduler notice, and still return
-        # bit-identical results.
-        tasks = make_tasks()
-        assert sum(parallel.solver_task_cost(t) for t in tasks) < (
-            parallel.MIN_PARALLEL_COST
-        )
-        journal = RunJournal()
-        results = run_solver_tasks(tasks, workers=2, journal=journal)
-        notices = [e for e in journal.events if e.category == "scheduler"]
-        assert len(notices) == 1
-        assert "auto-serial" in notices[0].message
-        assert notices[0].detail["workers"] == 2
-        expected = run_solver_tasks(tasks, workers=0)
-        for a, b in zip(results, expected):
-            assert_results_identical(a, b)
-
-    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        def broken_context(method):
-            raise ValueError(f"start method {method!r} unavailable")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", broken_context
-        )
-        tasks = make_tasks(n_tasks=3)
-        journal = RunJournal()
-        results = run_solver_tasks(
-            tasks, workers=2, journal=journal, min_parallel_cost=0
-        )
-        assert len(results) == len(tasks)
-        warnings = [e for e in journal.events if e.category == "warning"]
-        assert len(warnings) == 1
-        assert "serial" in warnings[0].message
-        expected = run_solver_tasks(tasks, workers=0)
-        for a, b in zip(results, expected):
-            assert_results_identical(a, b)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_solver_tasks(make_tasks(n_tasks=1), workers=-1)
-
-    def test_active_fault_injector_forces_serial(self):
-        # Fault budgets and fired records live in the parent process, so
-        # the executor must refuse to fork while an injector is active —
-        # and still return bit-identical results.
-        from repro.runtime.faults import FaultInjector
-
-        tasks = make_tasks(n_tasks=3)
-        journal = RunJournal()
-        with FaultInjector():
-            results = run_solver_tasks(
-                tasks, workers=2, journal=journal, min_parallel_cost=0
-            )
-        notices = [e for e in journal.events if e.category == "scheduler"]
-        assert len(notices) == 1
-        assert "fault injector" in notices[0].message
-        assert notices[0].detail["workers"] == 2
-        expected = run_solver_tasks(tasks, workers=0)
-        for a, b in zip(results, expected):
-            assert_results_identical(a, b)
-
-
 class TestRunParallelMap:
     def test_preserves_order_and_values(self):
         items = list(range(24))
@@ -257,7 +160,7 @@ class TestRunParallelMap:
 
 
 class TestAPTQWorkersParity:
-    def test_workers2_equals_workers0_bitwise(self):
+    def test_workers2_equals_workers0_bitwise(self, forced_fork):
         config = LlamaConfig(
             vocab_size=64,
             d_model=16,
@@ -275,47 +178,38 @@ class TestAPTQWorkersParity:
 
         def run(workers):
             model = LlamaModel(config, seed=0)
-            result = aptq_quantize_model(
-                model,
-                calibration,
-                APTQConfig(ratio_4bit=0.5, workers=workers),
-            )
+            # Injected Cholesky failures put recovery-ladder events into
+            # the streams compared below.
+            with FaultInjector().force_linalg_error("blocks.1.*", times=3):
+                result = aptq_quantize_model(
+                    model,
+                    calibration,
+                    APTQConfig(ratio_4bit=0.5, workers=workers),
+                )
             return model.state_dict(), result
 
         serial_state, serial_result = run(0)
+        assert forced_fork == []
         parallel_state, parallel_result = run(2)
+        # Only the sensitivity pass forks: one pool for the whole run.
+        assert forced_fork == ["fork"]
 
         assert sorted(serial_state) == sorted(parallel_state)
         for name in serial_state:
             assert np.array_equal(serial_state[name], parallel_state[name]), name
+        assert serial_result.sensitivities == parallel_result.sensitivities
         assert serial_result.allocation == parallel_result.allocation
+        assert sorted(serial_result.layer_results) == sorted(
+            parallel_result.layer_results
+        )
         for name in serial_result.layer_results:
             assert_results_identical(
                 serial_result.layer_results[name],
                 parallel_result.layer_results[name],
                 name,
             )
-        # The *solver* event streams are order-identical; scheduling notices
-        # (the auto-serial "scheduler" events, which only appear when
-        # workers > 0 was requested) describe the execution mode, not the
-        # numerics, and are filtered out of the comparison.
-        def solver_events(result):
-            return [
-                e.to_json()
-                for e in result.health.events
-                if e.category != "scheduler"
-            ]
-
-        assert solver_events(serial_result) == solver_events(parallel_result)
-        # This micro model sits below the auto-serial threshold, so the
-        # workers=2 run must have declined to fork at every stage.
-        schedulers = [
-            e
-            for e in parallel_result.health.events
-            if e.category == "scheduler"
+        serial_events = [e.to_json() for e in serial_result.health.events]
+        assert serial_events
+        assert serial_events == [
+            e.to_json() for e in parallel_result.health.events
         ]
-        assert schedulers
-        assert all("auto-serial" in e.message for e in schedulers)
-        assert not any(
-            e.category == "scheduler" for e in serial_result.health.events
-        )

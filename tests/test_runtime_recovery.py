@@ -10,9 +10,11 @@ from repro.runtime import (
     NumericalRecoveryError,
     RecoveryPolicy,
     RunJournal,
+    SolverTask,
     clip_hessian_eigenvalues,
     hessian_inverse,
     robust_quantize_layer,
+    run_solver_tasks,
 )
 
 D_IN, D_OUT = 8, 6
@@ -174,3 +176,31 @@ class TestPrimitives:
         inverse = hessian_inverse(hessian, journal=journal)
         np.testing.assert_allclose(hessian @ inverse, np.eye(4), atol=1e-9)
         assert journal.events == []
+
+
+class TestSolverTasks:
+    def test_results_and_events_in_task_order(self, rng):
+        tasks = [
+            SolverTask(
+                key=f"task{index}",
+                weight=rng.normal(size=(D_IN, D_OUT)),
+                hessian=spd_hessian(rng),
+                bits=2 + 2 * (index % 2),
+                group_size=4,
+            )
+            for index in range(3)
+        ]
+        journal = RunJournal()
+        injector = FaultInjector()
+        # Plans registered out of task order: events still follow tasks.
+        injector.force_linalg_error("task2").force_linalg_error("task0")
+        with injector:
+            results = run_solver_tasks(tasks, journal=journal)
+        assert [e.layer for e in journal.events] == ["task0", "task2"]
+        for task, result in zip(tasks, results):
+            direct = quantize_with_hessian(
+                task.weight, task.hessian, bits=task.bits, group_size=4
+            )
+            np.testing.assert_array_equal(
+                result.quantized_weight, direct.quantized_weight
+            )

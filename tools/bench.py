@@ -5,17 +5,17 @@ Usage:  python tools/bench.py [--suite quantize|serve] [--out PATH]
 
 Thin loop over the suite table of :mod:`repro.report.bench` that puts
 ``src/`` on the path first.  The default suite is ``quantize`` (solver,
-eval, format, pipeline and calibration benches, artifact
+eval, format and calibration benches, artifact
 ``BENCH_quantize.json``); ``--suite serve`` runs the serving benches
 (paged decode + continuous batching with latency percentiles, artifact
 ``BENCH_serve.json``).  One line per record shows its timings, speedup
 and equivalence verdict; the report is written only when every record
 kept its bit-identity or stayed inside its declared error bounds
 (exit 1 otherwise).  The committed artifacts are validated by
-``tests/test_bench_schema.py``.  ``--quick`` shrinks every record group
-and skips the end-to-end pipeline bench.  ``--append`` additionally
-appends a per-commit line to ``BENCH_history.jsonl`` and regenerates the
-markdown trend table at ``report/BENCH_trend.md``.
+``tests/test_bench_schema.py``.  ``--quick`` shrinks every record
+group.  ``--append`` additionally appends a per-commit line to
+``BENCH_history.jsonl`` and regenerates the markdown trend table at
+``report/BENCH_trend.md``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shrunk record groups; skips the end-to-end pipeline bench",
+        help="shrunk record groups (smaller problems, one repeat)",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing repeats"

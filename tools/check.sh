@@ -36,5 +36,10 @@ python tools/bench_compare.py --repeats 5 --tolerance 0.25
 echo "== serve bench gate (vs committed BENCH_serve.json) =="
 python tools/bench_compare.py --suite serve --repeats 3 --tolerance 0.25
 
+# The e2e tracer patches module-level names in repro.core.aptq and
+# repro.core.sensitivity; these tests fail when one of them goes missing.
+echo "== e2e bench harness (tracer patch targets, run.py smoke) =="
+python -m pytest -x -q benchmarks/e2e/tests
+
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
