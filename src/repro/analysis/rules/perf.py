@@ -108,3 +108,15 @@ def _calibration_reforward(
                     "running hidden states via "
                     "repro.core.hessian.CalibrationCaptureStream",
                 )
+            elif block_loop and parts[-1] == "collect_input_stats":
+                # The same full-model forward, hidden behind the call.
+                reported.add(id(node))
+                yield self.diagnostic(
+                    module,
+                    node,
+                    "collect_input_stats forwards the whole model per "
+                    "call, so inside a loop over blocks it re-runs the "
+                    "quantized prefix per block; collect one block's "
+                    "input statistics via repro.core.hessian."
+                    "CalibrationCaptureStream.block_input_stats",
+                )

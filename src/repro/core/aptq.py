@@ -466,19 +466,18 @@ def aptq_quantize_model(
             )
 
     # ------------------------------------------------------------------
-    # Step 1: sequential Hessian-attention-based quantization.  The
-    # capture stream replaces the per-(block, batch) embedding re-forward:
-    # it caches each batch's running hidden state and re-runs only the
+    # Step 1: sequential Hessian-attention-based quantization.  One
+    # deferred capture stream serves every block's attention captures
+    # (sequential runs) and MLP input statistics (all runs): it caches
+    # each batch's running hidden state and re-runs only the
     # just-quantized block when the next one is requested — bitwise
-    # identical to the legacy capture_attention protocol (each cached
-    # state is computed with exactly the weights the full re-forward
-    # would have seen, since APTQ finishes a block before moving on).
+    # identical to re-forwarding the model from the embedding (each cached
+    # state is computed with exactly the weights the full re-forward would
+    # have seen, since APTQ finishes a block before moving on).
     # ------------------------------------------------------------------
-    capture_stream: CalibrationCaptureStream | None = None
-    if config.sequential:
-        capture_stream = CalibrationCaptureStream(
-            model, calibration.segments, batch_size=config.batch_size
-        )
+    stream = CalibrationCaptureStream(
+        model, calibration.segments, batch_size=config.batch_size
+    )
     for block_index in range(start_block, len(model.blocks)):
         faults.maybe_fault("block-start", str(block_index))
         prefix = f"blocks.{block_index}."
@@ -491,8 +490,15 @@ def aptq_quantize_model(
             if name.startswith(prefix) and name not in attention_names
         ]
 
-        if config.sequential:
-            captures = capture_stream.block_captures(block_index)
+        # Non-sequential runs reuse the sensitivity pass's full-precision
+        # Hessians for every block, sequential runs for block 0: before it
+        # is quantized the model is the pass's model, with the same batches
+        # and seed, so they are bit-identical to a fresh capture.  A
+        # resumed run skipped the pass, and its cache is empty.
+        if not config.sequential or (block_index == 0 and fp_hessian_cache):
+            hessians = fp_hessian_cache[block_index]
+        else:
+            captures = stream.block_captures(block_index)
             attn = model.blocks[block_index].self_attn
             if config.hessian_mode == "kron":
                 hessians = kron_attention_hessians_from_captures(
@@ -509,8 +515,6 @@ def aptq_quantize_model(
                     seed=config.seed + block_index,
                 )
             del captures
-        else:
-            hessians = fp_hessian_cache[block_index]
 
         per_projection: dict[
             str, list[np.ndarray] | np.ndarray | KronFactor
@@ -576,11 +580,8 @@ def aptq_quantize_model(
                 name for name in mlp_names if name not in format_mlp
             ]
             if solver_mlp:
-                stats = collect_input_stats(
-                    model,
-                    calibration.segments,
-                    layer_names=solver_mlp,
-                    batch_size=config.batch_size,
+                stats = stream.block_input_stats(
+                    block_index, {name: layers[name] for name in solver_mlp}
                 )
                 mlp_tasks = [
                     SolverTask(

@@ -34,8 +34,12 @@ from repro.core.attention_grads import (
     contract_block_input,
     probe_chunks,
 )
+from repro.data.calibration import screen_finite
 from repro.nn.attention import AttentionCapture, MultiHeadAttention
+from repro.nn.modules import Linear
 from repro.nn.transformer import LlamaModel
+from repro.quant.calibration_hooks import InputCollector, InputStats
+from repro.runtime import faults
 
 __all__ = [
     "AttentionHessians",
@@ -373,12 +377,15 @@ class CalibrationCaptureStream:
     every ``(block, batch)`` pair — O(L²) block forwards per batch over a
     full calibration run.  The stream instead caches each batch's running
     hidden state and advances it one block at a time, so the whole run
-    costs O(L) block forwards per batch.
+    costs O(L) block forwards per batch.  Each batch is screened for
+    NaN/Inf where the stream first embeds it (an active
+    :class:`~repro.runtime.faults.FaultInjector` may poison it first), as
+    :func:`~repro.quant.calibration_hooks.collect_input_stats` does.
 
     Two regimes:
 
     * ``frozen=True`` — the model's weights will not change between
-      requests (the sensitivity pass).  The capturing forward's output is
+      requests (the sensitivity pass).  A block's full forward output is
       reused directly as the next block's input.
     * ``frozen=False`` (default) — the sequential APTQ loop *quantizes*
       block ``i`` after capturing it and before requesting block ``i+1``.
@@ -388,9 +395,17 @@ class CalibrationCaptureStream:
       finishes each block before moving on and never revisits one, every
       cached hidden state is computed with exactly the weights the legacy
       per-block re-forward would have seen — bitwise identical captures.
+      A capture needs only the block's attention half, so that is all a
+      deferred capture runs.
 
-    Requests must be strictly increasing in ``block_index``; skipped
-    blocks are forwarded without capture (resume support).
+    :meth:`block_input_stats` serves the same cached hidden states to an
+    :class:`~repro.quant.calibration_hooks.InputCollector`: block ``i``'s
+    layer-input statistics from one block forward per batch, instead of
+    a full-model forward.
+
+    Requests are forward-only: each asks for a block past the last one
+    requested, except that a block's statistics may follow its captures.
+    Skipped blocks are forwarded without capture (resume support).
     """
 
     def __init__(
@@ -415,48 +430,102 @@ class CalibrationCaptureStream:
         # Index of the first block whose forward has NOT yet been applied
         # to the cached hidden states.
         self._front = 0
-        # Smallest block index the next request may ask for.
-        self._min_request = 0
+        # Block ``_front``'s output from a frozen stream's full forward;
+        # advancing past the block reuses it verbatim.
+        self._outputs: list[np.ndarray] | None = None
+        # Smallest block index the next capture / statistics request may
+        # ask for.
+        self._min_capture = 0
+        self._min_stats = 0
 
     @property
     def n_batches(self) -> int:
         """Number of calibration batches the stream iterates per block."""
         return len(self._batches)
 
-    def block_captures(self, block_index: int) -> list[AttentionCapture]:
-        """Per-batch captures of ``block_index``, advancing the stream."""
+    def _embed(self) -> list[np.ndarray]:
+        """Screened embeddings of every calibration batch."""
+        inputs = []
+        for index, batch in enumerate(self._batches):
+            batch = faults.transform_batch(index, batch)
+            screen_finite(batch, f"calibration batch {index}")
+            inputs.append(self.model.embed.weight.data[batch])
+        return inputs
+
+    def _inputs_of(self, block_index: int, floor: int) -> list[np.ndarray]:
+        """Block ``block_index``'s cached inputs, advancing the stream."""
         if not 0 <= block_index < len(self.model.blocks):
             raise IndexError(f"block index {block_index} out of range")
-        if block_index < self._min_request:
+        if block_index < floor:
             raise ValueError(
                 f"capture stream is forward-only: block {block_index} "
-                f"requested after block {self._min_request - 1}"
+                f"requested where block {floor} or later was due"
             )
         if self._inputs is None:
-            self._inputs = [
-                self.model.embed.weight.data[np.atleast_2d(np.asarray(batch))]
-                for batch in self._batches
-            ]
+            self._inputs = self._embed()
         # Re-run the deferred (possibly re-quantized) prefix up to the
         # requested block with the weights as they stand *now*.
         while self._front < block_index:
-            block = self.model.blocks[self._front]
-            self._inputs = [block.forward_array(x) for x in self._inputs]
+            if self._outputs is None:
+                block = self.model.blocks[self._front]
+                self._inputs = [block.forward_array(x) for x in self._inputs]
+            else:
+                self._inputs, self._outputs = self._outputs, None
             self._front += 1
+        return self._inputs
+
+    def block_captures(self, block_index: int) -> list[AttentionCapture]:
+        """Per-batch captures of ``block_index``, advancing the stream."""
+        inputs = self._inputs_of(block_index, self._min_capture)
         block = self.model.blocks[block_index]
         captures: list[AttentionCapture] = []
-        outputs: list[np.ndarray] = []
-        for x in self._inputs:
-            out, capture = block.forward_array(x, capture=True)
-            captures.append(capture)
-            outputs.append(out)
         if self.frozen:
             # Immutable model: the capturing forward's output is the next
             # block's input verbatim.
-            self._inputs = outputs
-            self._front = block_index + 1
-        self._min_request = block_index + 1
+            self._outputs = []
+            for x in inputs:
+                out, capture = block.forward_array(x, capture=True)
+                captures.append(capture)
+                self._outputs.append(out)
+        else:
+            # The next request re-runs this block with its quantized
+            # weights, so its output would be thrown away: run only the
+            # attention half the capture needs.
+            for x in inputs:
+                normed = block.input_norm.forward_array(x)
+                captures.append(
+                    block.self_attn.forward_array(normed, capture=True)[1]
+                )
+        self._min_capture = block_index + 1
+        self._min_stats = block_index
         return captures
+
+    def block_input_stats(
+        self, block_index: int, layers: dict[str, Linear]
+    ) -> dict[str, InputStats]:
+        """Input statistics of ``layers`` (of block ``block_index``).
+
+        Runs only block ``block_index`` over the cached hidden states, with
+        an :class:`~repro.quant.calibration_hooks.InputCollector` on
+        ``layers`` — bitwise what
+        :func:`~repro.quant.calibration_hooks.collect_input_stats` gathers
+        from a full-model forward of the same batches.
+        """
+        inputs = self._inputs_of(block_index, self._min_stats)
+        block = self.model.blocks[block_index]
+        outputs = []
+        with InputCollector(layers) as collector:
+            for index, x in enumerate(inputs):
+                collector.current_batch = index
+                outputs.append(block.forward_array(x))
+                # Activation arrays are batch-local: reset the Gram cache
+                # so recycled object ids can never alias across batches.
+                collector.gram_cache.reset()
+            collector.current_batch = None
+        if self.frozen:
+            self._outputs = outputs
+        self._min_capture = self._min_stats = block_index + 1
+        return collector.stats
 
 
 def exact_gauss_newton(

@@ -104,6 +104,10 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.o_proj = Linear(d_model, d_model, rng=rng)
         self.rope = RotaryEmbedding(self.d_head, max_seq_len, rope_base)
+        # Additive causal mask over the whole context, built once; every
+        # numpy forward adds a read-only slice of it.
+        self.causal_mask = F.causal_mask(max_seq_len)
+        self.causal_mask.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Autograd path
@@ -160,8 +164,9 @@ class MultiHeadAttention(Module):
         q = F.apply_rope(split(self.q_proj.forward_array(x)), cos, sin)
         k = F.apply_rope(split(self.k_proj.forward_array(x)), cos, sin)
         v = split(self.v_proj.forward_array(x))
-        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(self.d_head)
-        scores = scores + F.causal_mask(seq)
+        scores = q @ np.swapaxes(k, -1, -2)
+        scores /= np.sqrt(self.d_head)
+        scores += self.causal_mask[:seq, :seq]
         probs = F.softmax(scores, axis=-1)
         context = probs @ v
         heads = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
@@ -222,19 +227,17 @@ class MultiHeadAttention(Module):
             keys, values = cache.append(
                 layer, seq_id, k[row : row + 1], v[row : row + 1]
             )
-            scores = (
-                q[row : row + 1]
-                @ np.swapaxes(keys, -1, -2)
-                / np.sqrt(self.d_head)
-            )
+            scores = q[row : row + 1] @ np.swapaxes(keys, -1, -2)
+            scores /= np.sqrt(self.d_head)
             if seq > 1:
                 # Offset causal mask: new token i (absolute position
-                # start + i) attends to absolute positions <= start + i.
-                # For start == 0 this is exactly ``F.causal_mask(seq)``.
-                total = keys.shape[2]
-                mask = np.zeros((seq, total))
-                mask[np.arange(total) > positions[row][:, None]] = -np.inf
-                scores = scores + mask
+                # start + i) attends to absolute positions <= start + i,
+                # i.e. rows start .. start + seq of the causal mask.  For
+                # start == 0 this is exactly the forward_array mask.
+                start = int(starts[row])
+                scores += self.causal_mask[
+                    start : start + seq, : keys.shape[2]
+                ]
             context = F.softmax(scores, axis=-1) @ values
             rows.append(
                 context.transpose(0, 2, 1, 3).reshape(1, seq, self.d_model)

@@ -26,10 +26,16 @@ __all__ = [
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax.
+
+    ``exp(x - max) / sum`` with the shift, exponential and normalisation
+    in one buffer: the same IEEE operations, one temporary.
+    """
+    out = x - x.max(axis=axis, keepdims=True)
+    # Integer input exponentiates into a fresh float array, as np.exp does.
+    out = np.exp(out, out=out if out.dtype.kind == "f" else None)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -42,21 +48,39 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
     The naive ``1/(1+exp(-x))`` overflows for large negative ``x``; the
-    sign-split form only ever exponentiates ``-|x|``.
+    sign-split form only ever exponentiates ``-|x|``: ``1/(1+z)`` where
+    ``x >= 0`` and ``z/(1+z)`` elsewhere, as one divide of the selected
+    numerator.
     """
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.where(x >= 0.0, 1.0, z)
+    z += 1.0
+    out /= z
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU/Swish activation ``x * sigmoid(x)`` (the LLaMA MLP gate)."""
-    return x * sigmoid(x)
+    out = sigmoid(x)
+    out *= x
+    return out
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Root-mean-square layer norm (the LLaMA normalisation)."""
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    return x / scale * gain
+    """Root-mean-square layer norm (the LLaMA normalisation).
+
+    ``x / sqrt(mean(x²) + eps) * gain``, with ``np.mean``'s sum-then-divide
+    spelled out in place: the same IEEE operations without the wrapper.
+    """
+    # np.mean accumulates integer input in float64.
+    dtype = np.float64 if x.dtype.kind in "biu" else None
+    scale = (x * x).sum(axis=-1, keepdims=True, dtype=dtype)
+    scale /= x.shape[-1]
+    scale += eps
+    np.sqrt(scale, out=scale)
+    out = x / scale
+    out *= gain
+    return out
 
 
 def rotate_half(x: np.ndarray) -> np.ndarray:

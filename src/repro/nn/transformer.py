@@ -49,7 +49,8 @@ class SwiGLU(Module):
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """Gated feed-forward transform (numpy path)."""
         gate = F.silu(self.gate_proj.forward_array(x))
-        return self.down_proj.forward_array(gate * self.up_proj.forward_array(x))
+        gate *= self.up_proj.forward_array(x)
+        return self.down_proj.forward_array(gate)
 
 
 class TransformerBlock(Module):

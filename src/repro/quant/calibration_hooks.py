@@ -45,9 +45,8 @@ class InputCollector:
         #: Index of the calibration batch currently streaming through the
         #: model; lets activation screening name the offending batch.
         self.current_batch: int | None = None
-        # Imported here (not at module top): repro.core.sensitivity imports
-        # this module while repro.core is still initializing, so a top-level
-        # import of repro.core.hessian would be circular.
+        # Imported here (not at module top): repro.core.hessian imports
+        # this module, so a top-level import of it would be circular.
         from repro.core.hessian import SharedGramCache
 
         #: Gram matrices are shared across layers fed by the same

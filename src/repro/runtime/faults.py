@@ -17,7 +17,8 @@ Sites wired into the runtime:
   ``aptq_quantize_model`` starts that block, simulating a process crash
   after the previous block's checkpoint landed on disk.
 * ``"calibration-batch"`` — transforms (poisons) the matching calibration
-  batch in :func:`repro.quant.calibration_hooks.collect_input_stats`.
+  batch in :func:`repro.quant.calibration_hooks.collect_input_stats` and
+  where :class:`repro.core.hessian.CalibrationCaptureStream` embeds it.
 
 Serving fault sites (wired into :mod:`repro.serve`):
 

@@ -474,6 +474,46 @@ class TestPerfCalibrationReforward:
             self.FORWARD_IN_BLOCK_LOOP, "perf-calibration-reforward"
         ) == [("perf-calibration-reforward", 7)]
 
+    STATS_IN_BLOCK_LOOP = (
+        '"""m."""\n'
+        "from repro.quant.calibration_hooks import collect_input_stats\n\n\n"
+        'def f(model, segments):\n    """D."""\n'
+        "    stats = []\n"
+        "    for i in range(len(model.blocks)):\n"
+        "        stats.append(collect_input_stats(model, segments))\n"
+        "    return stats\n"
+    )
+
+    def test_input_stats_in_block_loop_flagged(self):
+        # collect_input_stats hides a full-model forward per batch.
+        assert hits(
+            self.STATS_IN_BLOCK_LOOP, "perf-calibration-reforward"
+        ) == [("perf-calibration-reforward", 9)]
+
+    def test_input_stats_outside_block_loop_clean(self):
+        src = (
+            '"""m."""\n'
+            "from repro.quant.calibration_hooks import collect_input_stats\n"
+            "\n\n"
+            'def f(model, segments, groups):\n    """D."""\n'
+            "    first = collect_input_stats(model, segments)\n"
+            "    for group in groups:\n"
+            "        collect_input_stats(model, segments, layer_names=group)\n"
+            "    return first\n"
+        )
+        assert hits(src, "perf-calibration-reforward") == []
+
+    def test_stream_input_stats_clean(self):
+        src = (
+            '"""m."""\n\n\n'
+            'def f(stream, model, layers):\n    """D."""\n'
+            "    out = []\n"
+            "    for i in range(len(model.blocks)):\n"
+            "        out.append(stream.block_input_stats(i, layers[i]))\n"
+            "    return out\n"
+        )
+        assert hits(src, "perf-calibration-reforward") == []
+
     def test_batch_loop_forward_clean(self):
         # Looping over *batches* is the normal evaluation shape; only a
         # loop over blocks re-runs the quantized prefix per block.
@@ -514,6 +554,14 @@ class TestPerfCalibrationReforward:
             assert (
                 hits(
                     self.FORWARD_IN_BLOCK_LOOP,
+                    "perf-calibration-reforward",
+                    path=path,
+                )
+                == []
+            )
+            assert (
+                hits(
+                    self.STATS_IN_BLOCK_LOOP,
                     "perf-calibration-reforward",
                     path=path,
                 )

@@ -52,6 +52,45 @@ class TestAPTQRun:
         assert np.all(np.isfinite(logits))
 
 
+class TestForwardCounts:
+    """The block loop forwards single blocks, never the whole model."""
+
+    def test_one_full_model_forward_and_streamed_captures(
+        self, micro_model, calibration, monkeypatch
+    ):
+        from repro.core.hessian import CalibrationCaptureStream
+        from repro.nn.transformer import LlamaModel
+
+        counts = {"forward": 0, "captures": 0}
+        forward = LlamaModel.forward_array
+        block_captures = CalibrationCaptureStream.block_captures
+
+        def spy_forward(self, ids):
+            counts["forward"] += 1
+            return forward(self, ids)
+
+        def spy_captures(self, block_index):
+            counts["captures"] += 1
+            return block_captures(self, block_index)
+
+        monkeypatch.setattr(LlamaModel, "forward_array", spy_forward)
+        monkeypatch.setattr(
+            CalibrationCaptureStream, "block_captures", spy_captures
+        )
+        # 16 calibration segments at the default batch size: one batch.
+        aptq_quantize_model(
+            micro_model,
+            calibration,
+            APTQConfig(ratio_4bit=0.5, group_size=8, n_probes=2),
+        )
+        n_blocks = len(micro_model.blocks)
+        # The sensitivity pass's FFN statistics, and nothing per block.
+        assert counts["forward"] == 1
+        # Every block once for the sensitivity pass; the sequential pass
+        # reuses block 0's Hessians and captures the rest.
+        assert counts["captures"] == 2 * n_blocks - 1
+
+
 class TestAPTQConfigs:
     def test_ratio_one_uniform_4bit(self, trained_micro_model, calibration):
         model = clone(trained_micro_model)

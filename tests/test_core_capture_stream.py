@@ -20,6 +20,8 @@ from repro.core.hessian import (
 )
 from repro.nn.config import LlamaConfig
 from repro.nn.transformer import LlamaModel
+from repro.quant.calibration_hooks import collect_input_stats
+from repro.runtime import CalibrationError, FaultInjector
 
 CONFIG = LlamaConfig(
     vocab_size=64,
@@ -57,11 +59,35 @@ def captures_equal(a, b):
     return True
 
 
-def round_block_weights(model, block_index, decimals=1):
-    """A stand-in for quantization: visibly mutate one block's weights."""
+def round_block_weights(model, block_index, decimals=1, part=None):
+    """A stand-in for quantization: visibly mutate one block's weights.
+
+    ``part`` limits the mutation to the ``"attn"`` or ``"mlp"`` half.
+    """
     block = model.blocks[block_index]
-    for layer in (block.self_attn.q_proj, block.mlp.gate_proj):
-        layer.weight.data[:] = np.round(layer.weight.data, decimals)
+    halves = {"attn": block.self_attn.q_proj, "mlp": block.mlp.gate_proj}
+    for name, layer in halves.items():
+        if part in (None, name):
+            layer.weight.data[:] = np.round(layer.weight.data, decimals)
+
+
+def block_layers(model, block_index, mlp_only=False):
+    prefix = f"blocks.{block_index}." + ("mlp." if mlp_only else "")
+    return {
+        name: linear
+        for name, linear in model.quantizable_linears().items()
+        if name.startswith(prefix)
+    }
+
+
+def assert_stats_equal(streamed, legacy):
+    assert streamed.keys() == legacy.keys()
+    for name in legacy:
+        for field in dataclasses.fields(legacy[name]):
+            assert np.array_equal(
+                getattr(streamed[name], field.name),
+                getattr(legacy[name], field.name),
+            ), (name, field.name)
 
 
 class TestFrozenStream:
@@ -159,6 +185,103 @@ class TestDeferredStream:
         ]
         for s, l in zip(streamed, legacy):
             assert captures_equal(s, l)
+
+
+class TestBlockInputStats:
+    """Per-block statistics match a full-model collect_input_stats."""
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_matches_collect_input_stats(self, frozen):
+        model = make_model()
+        segments = make_segments(n_segments=7)
+        stream = CalibrationCaptureStream(
+            model, segments, batch_size=3, frozen=frozen
+        )
+        for block_index in range(CONFIG.n_layers):
+            layers = block_layers(model, block_index)
+            assert_stats_equal(
+                stream.block_input_stats(block_index, layers),
+                collect_input_stats(
+                    model, segments, layer_names=list(layers), batch_size=3
+                ),
+            )
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_statistics_may_follow_captures(self, frozen):
+        model = make_model()
+        segments = make_segments(n_segments=7)
+        stream = CalibrationCaptureStream(
+            model, segments, batch_size=3, frozen=frozen
+        )
+        for block_index in range(CONFIG.n_layers):
+            streamed = stream.block_captures(block_index)
+            legacy = [
+                capture_attention(model, batch, block_index)
+                for batch in batches_of(segments, 3)
+            ]
+            for s, l in zip(streamed, legacy):
+                assert captures_equal(s, l)
+            layers = block_layers(model, block_index, mlp_only=True)
+            assert_stats_equal(
+                stream.block_input_stats(block_index, layers),
+                collect_input_stats(
+                    model, segments, layer_names=list(layers), batch_size=3
+                ),
+            )
+
+    def test_matches_legacy_under_mid_block_quantization(self):
+        # The APTQ block loop: capture block i, quantize its attention,
+        # collect its MLP statistics, quantize the MLP, then block i+1.
+        segments = make_segments(n_segments=7)
+        legacy_model = make_model()
+        stream_model = make_model()
+        stream = CalibrationCaptureStream(stream_model, segments, batch_size=3)
+        for block_index in range(CONFIG.n_layers):
+            if block_index:
+                stream.block_captures(block_index)
+            for model in (legacy_model, stream_model):
+                round_block_weights(model, block_index, part="attn")
+            layers = block_layers(stream_model, block_index, mlp_only=True)
+            assert_stats_equal(
+                stream.block_input_stats(block_index, layers),
+                collect_input_stats(
+                    legacy_model,
+                    segments,
+                    layer_names=list(layers),
+                    batch_size=3,
+                ),
+            )
+            for model in (legacy_model, stream_model):
+                round_block_weights(model, block_index, part="mlp")
+
+    def test_request_rules(self):
+        model = make_model()
+        stream = CalibrationCaptureStream(model, make_segments())
+        stream.block_input_stats(0, block_layers(model, 0))
+        with pytest.raises(ValueError, match="forward-only"):
+            stream.block_input_stats(0, block_layers(model, 0))
+        with pytest.raises(ValueError, match="forward-only"):
+            stream.block_captures(0)
+        stream.block_captures(1)
+        with pytest.raises(ValueError, match="forward-only"):
+            stream.block_captures(1)
+        stream.block_input_stats(1, block_layers(model, 1))
+        with pytest.raises(ValueError, match="forward-only"):
+            stream.block_input_stats(1, block_layers(model, 1))
+        with pytest.raises(IndexError):
+            stream.block_input_stats(CONFIG.n_layers, {})
+        stream.block_input_stats(2, block_layers(model, 2))
+
+
+class TestCalibrationScreening:
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_poisoned_batch_rejected_where_embedded(self, frozen):
+        stream = CalibrationCaptureStream(
+            make_model(), make_segments(), batch_size=2, frozen=frozen
+        )
+        with FaultInjector().poison_batch(1, mode="inf"):
+            with pytest.raises(CalibrationError, match="calibration batch 1"):
+                stream.block_captures(0)
 
 
 class TestStreamContract:

@@ -196,3 +196,173 @@ class TestAttention:
         v = rng.normal(size=(1, 3, 4))
         out = F.attention(q, k, v, mask=F.causal_mask(3))
         assert np.allclose(out[0, 0], v[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Kernel rewrites against the formulas they replaced
+# ---------------------------------------------------------------------------
+# The forward's elementwise kernels run in place on buffers they own.  Each
+# must run the same IEEE operations as the textbook expression below, so
+# every output is bit-identical to it, NaN included.
+
+
+def softmax_oracle(x, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
+def sigmoid_oracle(x):
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def silu_oracle(x):
+    return x * sigmoid_oracle(x)
+
+
+def rms_norm_oracle(x, gain, eps=1e-5):
+    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    return x / scale * gain
+
+
+def swiglu_oracle(mlp, x):
+    gate = silu_oracle(x @ mlp.gate_proj.weight.data)
+    return (gate * (x @ mlp.up_proj.weight.data)) @ mlp.down_proj.weight.data
+
+
+EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308,
+     np.inf, -np.inf, np.nan, 1.5, -2.5, 40.0, -750.0]
+)
+
+#: Eval-chunk, prefill and decode shapes of llama-7b-sim's activations:
+#: attention scores, MLP hidden states and the residual stream.
+SCORE_SHAPES = [(4, 4, 63, 63), (1, 4, 48, 48), (1, 4, 1, 40)]
+HIDDEN_SHAPES = [(4, 63, 176), (1, 48, 176), (8, 1, 176)]
+RESIDUAL_SHAPES = [(4, 63, 64), (1, 48, 64), (8, 1, 64)]
+
+
+def edge_matrix(seed, shape):
+    return np.random.default_rng(seed).choice(EDGE_VALUES, size=shape)
+
+
+def assert_bitwise(kernel, oracle, *args):
+    originals = [np.copy(a) for a in args]
+    # Edge values overflow and divide inf by inf on both sides alike.
+    with np.errstate(all="ignore"):
+        out = kernel(*args)
+        expected = oracle(*args)
+    assert out.dtype == expected.dtype
+    assert np.array_equal(out, expected, equal_nan=True)
+    for arg, original in zip(args, originals):
+        assert np.array_equal(arg, original, equal_nan=True)
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("shape", SCORE_SHAPES)
+    def test_softmax_random(self, shape):
+        x = np.random.default_rng(0).normal(size=shape) * 4.0
+        assert_bitwise(F.softmax, softmax_oracle, x)
+
+    @pytest.mark.parametrize("shape", HIDDEN_SHAPES)
+    def test_sigmoid_and_silu_random(self, shape):
+        x = np.random.default_rng(1).normal(size=shape) * 6.0
+        assert_bitwise(F.sigmoid, sigmoid_oracle, x)
+        assert_bitwise(F.silu, silu_oracle, x)
+
+    @pytest.mark.parametrize("shape", RESIDUAL_SHAPES)
+    def test_rms_norm_random(self, shape):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape)
+        gain = rng.normal(size=shape[-1])
+        assert_bitwise(F.rms_norm, rms_norm_oracle, x, gain)
+        assert_bitwise(
+            lambda a, g: F.rms_norm(a, g, eps=0.0),
+            lambda a, g: rms_norm_oracle(a, g, eps=0.0),
+            x,
+            gain,
+        )
+
+    @pytest.mark.parametrize("shape", HIDDEN_SHAPES)
+    def test_swiglu_random(self, shape):
+        from repro.nn.transformer import SwiGLU
+
+        mlp = SwiGLU(64, shape[-1], rng=np.random.default_rng(3))
+        x = np.random.default_rng(4).normal(size=shape[:-1] + (64,))
+        assert_bitwise(mlp.forward_array, lambda a: swiglu_oracle(mlp, a), x)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_values(self, seed):
+        x = edge_matrix(seed, (32, 9))
+        gain = edge_matrix(seed + 100, 9)
+        assert_bitwise(F.softmax, softmax_oracle, x)
+        assert_bitwise(lambda a: F.softmax(a, axis=0),
+                       lambda a: softmax_oracle(a, axis=0), x)
+        assert_bitwise(F.sigmoid, sigmoid_oracle, x)
+        assert_bitwise(F.silu, silu_oracle, x)
+        assert_bitwise(F.rms_norm, rms_norm_oracle, x, gain)
+        assert_bitwise(F.rms_norm, rms_norm_oracle, x, np.ones(9))
+
+    def test_finite_edge_rows(self):
+        finite = EDGE_VALUES[np.isfinite(EDGE_VALUES)]
+        x = np.stack([np.roll(finite, i) for i in range(finite.size)])
+        assert_bitwise(F.softmax, softmax_oracle, x)
+        assert_bitwise(F.sigmoid, sigmoid_oracle, x)
+        assert_bitwise(F.silu, silu_oracle, x)
+        assert_bitwise(F.rms_norm, rms_norm_oracle, x, np.ones(finite.size))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.int8])
+    def test_integer_inputs(self, dtype):
+        x = np.random.default_rng(5).integers(0, 7, size=(3, 4, 5)).astype(dtype)
+        assert_bitwise(F.softmax, softmax_oracle, x)
+        assert_bitwise(F.sigmoid, sigmoid_oracle, x)
+        assert_bitwise(F.silu, silu_oracle, x)
+        assert_bitwise(F.rms_norm, rms_norm_oracle, x, np.arange(5.0))
+
+    def test_scalar_and_vector_inputs(self):
+        assert_bitwise(F.sigmoid, sigmoid_oracle, np.float64(-3.0))
+        assert_bitwise(F.softmax, softmax_oracle, np.array([3.0, -1.0, 2.0]))
+
+
+class TestAttentionScoresMatchOracle:
+    """Scaling and masking run in place on the score buffer."""
+
+    def oracle(self, attn, x):
+        batch, seq, _ = x.shape
+        cos, sin = attn.rope.tables(seq)
+
+        def split(a):
+            return a.reshape(batch, seq, attn.n_heads, attn.d_head).transpose(
+                0, 2, 1, 3
+            )
+
+        q = F.apply_rope(split(x @ attn.q_proj.weight.data), cos, sin)
+        k = F.apply_rope(split(x @ attn.k_proj.weight.data), cos, sin)
+        v = split(x @ attn.v_proj.weight.data)
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(attn.d_head)
+        scores = scores + F.causal_mask(seq)
+        probs = softmax_oracle(scores, axis=-1)
+        heads = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq, -1)
+        return heads @ attn.o_proj.weight.data, scores, probs
+
+    @pytest.mark.parametrize("shape", [(4, 63), (1, 48), (8, 1)])
+    def test_forward_array(self, shape):
+        from repro.nn.attention import MultiHeadAttention
+
+        attn = MultiHeadAttention(64, 4, 64, rng=np.random.default_rng(6))
+        x = np.random.default_rng(7).normal(size=shape + (64,))
+        original = x.copy()
+        out, capture = attn.forward_array(x, capture=True)
+        expected, scores, probs = self.oracle(attn, x)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(capture.scores, scores)
+        assert np.array_equal(capture.probs, probs)
+        assert np.array_equal(x, original)
+
+    def test_owned_mask_is_read_only_causal_mask(self):
+        from repro.nn.attention import MultiHeadAttention
+
+        attn = MultiHeadAttention(16, 2, 12)
+        assert np.array_equal(attn.causal_mask, F.causal_mask(12))
+        assert not attn.causal_mask.flags.writeable

@@ -12,7 +12,10 @@ import pytest
 
 from repro.core.aptq import APTQConfig, APTQResult, aptq_quantize_model
 from repro.report import format_run_health
+from repro.nn.config import LlamaConfig
+from repro.nn.transformer import LlamaModel
 from repro.runtime import (
+    CalibrationError,
     CheckpointError,
     FaultInjector,
     InjectedFault,
@@ -162,6 +165,25 @@ class TestResumeGuards:
         # The fresh run overwrote the garbage with a loadable checkpoint.
         assert result.health.by_category("resume") == ()
         assert len(result.layer_results) == 14
+
+    def test_resumed_run_screens_calibration_batches(self, calibration,
+                                                     tmp_path):
+        # A resumed run skips the sensitivity pass, so the capture stream
+        # is the first to embed the calibration batches; it must still
+        # screen them.
+        model = LlamaModel(
+            LlamaConfig(vocab_size=256, d_model=16, n_layers=3, n_heads=2,
+                        d_ff=24, max_seq_len=32),
+            seed=0,
+        )
+        config = APTQConfig(checkpoint_path=tmp_path / "run.npz",
+                            resume=True, **CONFIG_KWARGS)
+        with FaultInjector().crash_at_block(2):
+            with pytest.raises(InjectedFault, match="block 2"):
+                aptq_quantize_model(model, calibration, config)
+        with FaultInjector().poison_batch(0):
+            with pytest.raises(CalibrationError, match="calibration batch 0"):
+                aptq_quantize_model(model, calibration, config)
 
     def test_default_health_field(self):
         result = APTQResult(
