@@ -19,7 +19,7 @@ Three forward paths exist:
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "RotaryEmbedding",
     "AttentionCapture",
     "MultiHeadAttention",
+    "CachePlan",
     "PagedKVCache",
 ]
 
@@ -104,8 +105,9 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.o_proj = Linear(d_model, d_model, rng=rng)
         self.rope = RotaryEmbedding(self.d_head, max_seq_len, rope_base)
-        # Additive causal mask over the whole context, built once; every
-        # numpy forward adds a read-only slice of it.
+        # Additive causal mask over the whole context, built once;
+        # forward_array adds a read-only slice of it, and
+        # PagedKVCache.plan takes each new token's row of it.
         self.causal_mask = F.causal_mask(max_seq_len)
         self.causal_mask.flags.writeable = False
 
@@ -186,63 +188,99 @@ class MultiHeadAttention(Module):
         x: np.ndarray,
         cache: "PagedKVCache",
         layer: int,
-        seq_ids: Sequence[Hashable],
+        plan: "CachePlan",
     ) -> np.ndarray:
         """Attend new tokens against each row's cached keys/values.
 
-        ``x`` is ``(batch, seq, d_model)``.  Row ``b`` extends sequence
-        ``seq_ids[b]`` from its committed length at ``layer``, read from
-        ``cache``, and appends its new keys/values there.  Rows may sit at
-        different lengths (a continuous-batching decode step); with
-        ``seq > 1`` each row is masked causally from its own offset (a
-        prefill).
+        ``x`` is ``(batch, seq, d_model)``; ``plan``
+        (:meth:`PagedKVCache.plan`) maps row ``b`` onto sequence
+        ``plan.seq_ids[b]``, whose new keys/values are written at
+        ``layer`` before it attends.
 
-        Projections, rope and the output projection are row-independent
-        and each row attends against its own history, so row ``b`` is
-        bit-identical to the same call on a batch of one.  On an empty
-        cache the arithmetic is that of :meth:`forward_array` (identical
-        rope rows, mask values and reductions), at O(prefix) instead of
-        O(prefix²) cost per decoded token.
+        A decode step (``seq == 1``) runs every row as one stacked
+        attention over the full context (``max_seq_len`` keys), each row
+        masked to its own length: one write, one gather, one softmax.
+        Every row runs the same shapes whatever its company and the cache's
+        block geometry, and its padded keys/values read exact zeros, so row
+        ``b`` is bit-identical to the same call on a batch of one, at
+        O(``max_seq_len``) per decoded token.  A prefill (``seq > 1``)
+        attends each row over exactly its ``start + seq`` keys, masked
+        causally from its own offset; on an empty cache that is the
+        arithmetic of :meth:`forward_array` (identical rope rows, mask
+        values and reductions).
         """
         batch, seq, _ = x.shape
-        starts = np.asarray(
-            [cache.length(seq_id, layer) for seq_id in seq_ids], dtype=np.int64
-        )
-        cos, sin = self.rope.tables(int(starts.max()) + seq)
-        positions = starts[:, None] + np.arange(seq)  # (batch, seq)
         # Per-row rope rows, broadcast over heads: (batch, 1, seq, d_head).
-        cos_t = cos[positions][:, None]
-        sin_t = sin[positions][:, None]
+        cos = self.rope.cos[plan.positions][:, None]
+        sin = self.rope.sin[plan.positions][:, None]
 
         def split(a: np.ndarray) -> np.ndarray:
             return a.reshape(batch, seq, self.n_heads, self.d_head).transpose(
                 0, 2, 1, 3
             )
 
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
+        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos, sin)
+        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos, sin)
         v = split(self.v_proj.forward_array(x))
-        rows = []
-        for row, seq_id in enumerate(seq_ids):
-            keys, values = cache.append(
-                layer, seq_id, k[row : row + 1], v[row : row + 1]
-            )
-            scores = q[row : row + 1] @ np.swapaxes(keys, -1, -2)
-            scores /= np.sqrt(self.d_head)
-            if seq > 1:
-                # Offset causal mask: new token i (absolute position
-                # start + i) attends to absolute positions <= start + i,
-                # i.e. rows start .. start + seq of the causal mask.  For
-                # start == 0 this is exactly the forward_array mask.
-                start = int(starts[row])
-                scores += self.causal_mask[
-                    start : start + seq, : keys.shape[2]
-                ]
-            context = F.softmax(scores, axis=-1) @ values
-            rows.append(
-                context.transpose(0, 2, 1, 3).reshape(1, seq, self.d_model)
-            )
-        return self.o_proj.forward_array(np.concatenate(rows))
+        cache.write(layer, plan.seq_ids, plan.write_slots, k, v)
+        if seq == 1:
+            keys, values = cache.read(layer, plan.slots)
+            context = self._attend(q, keys, values, plan.mask)
+        else:
+            # Exact length: the first end = start + seq columns of the
+            # offset causal mask, for start == 0 the forward_array mask.
+            rows = []
+            for row, start in enumerate(plan.positions[:, 0].tolist()):
+                end = start + seq
+                keys, values = cache.read(
+                    layer, plan.slots[row : row + 1, :end]
+                )
+                rows.append(self._attend(
+                    q[row : row + 1], keys, values,
+                    plan.mask[row : row + 1, ..., :end],
+                ))
+            context = np.concatenate(rows)
+        heads = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
+        return self.o_proj.forward_array(heads)
+
+    def _attend(
+        self,
+        q: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        mask: np.ndarray,
+    ) -> np.ndarray:
+        """``softmax(q kᵀ / sqrt(d) + mask) v`` over stacked heads."""
+        scores = q @ np.swapaxes(keys, -1, -2)
+        scores /= np.sqrt(self.d_head)
+        scores += mask
+        return F.softmax(scores, axis=-1) @ values
+
+
+class CachePlan(NamedTuple):
+    """Where one cached forward writes and reads, shared by every layer.
+
+    Built once per call by :meth:`PagedKVCache.plan`, after every row's
+    blocks are reserved.
+
+    - ``seq_ids``: the sequence of each row.
+    - ``positions``: ``(rows, steps)`` absolute positions of each row's
+      new tokens (its committed length onwards).
+    - ``write_slots``: ``(rows, steps)`` pool slots
+      (``block * block_size + offset``) of those tokens.
+    - ``slots``: ``(rows, context)`` pool slot of each row's positions
+      ``0 .. context - 1``, where ``context`` (the model's
+      ``max_seq_len``) is the width every decode row is read at; past a
+      row's blocks they point into the cache's zero sentinel block.
+    - ``mask``: ``(rows, 1, steps, context)`` additive causal mask, ``0``
+      up to each new token's position and ``-inf`` after it.
+    """
+
+    seq_ids: tuple[Hashable, ...]
+    positions: np.ndarray
+    write_slots: np.ndarray
+    slots: np.ndarray
+    mask: np.ndarray
 
 
 class PagedKVCache:
@@ -255,19 +293,31 @@ class PagedKVCache:
     join and leave a running batch, and freeing a finished sequence returns
     its blocks to the pool immediately.  Every block stores all
     ``n_layers`` layers, so one reservation covers the whole depth of the
-    model.  Pools are allocated once, on the first append (head count, head
-    dimension and dtype are taken from the first key tensor seen).
+    model.  Pools are allocated once, on the first write (head count, head
+    dimension and dtype are taken from the first key tensor seen), and are
+    token-major: ``(n_layers, slots, heads, d_head)``.
 
-    Gathered histories are exact copies of what was appended (block writes
+    One extra block, the **sentinel** (index ``num_blocks``), pads a
+    row's slots past its own blocks out to a fixed context.  It is never
+    handed out, never written and never counted in :attr:`free_blocks` or
+    :attr:`used_blocks`, so it reads zero forever; and :meth:`reserve`
+    zeroes every block it hands out.  A row's slots past its own length
+    therefore read exact zeros, never the stale (possibly NaN) keys/values
+    of a freed sequence.  A decode step reads every row at the full
+    context (O(``max_seq_len``) per decoded token) through those padded
+    slots.
+
+    Gathered histories are exact copies of what was written (pool writes
     and fancy-index gathers move bytes, never round), returned read-only;
     :meth:`MultiHeadAttention.forward_cached` over a paged sequence is
     therefore independent of block geometry and batch company — the
     property the serving layer's determinism contract rests on.
 
-    Exhaustion is a typed, recoverable signal: :meth:`reserve` raises
-    :class:`~repro.runtime.errors.CacheExhausted` *before* any bytes are
-    written, so a scheduler can preempt a victim sequence and retry without
-    ever observing a half-written cache.
+    Exhaustion is a typed, recoverable signal: :meth:`reserve` and
+    :meth:`plan` raise :class:`~repro.runtime.errors.CacheExhausted`
+    *before* any block is handed out or any byte written, for all rows of
+    a call at once, so a scheduler can preempt a victim sequence and retry
+    without ever observing a half-written cache.
     """
 
     def __init__(
@@ -290,6 +340,7 @@ class PagedKVCache:
         self._lengths: dict[Hashable, list[int]] = {}
         self._keys: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
+        self._offsets = np.arange(self.block_size)
 
     # -- pool accounting -------------------------------------------------
     @property
@@ -332,22 +383,42 @@ class PagedKVCache:
     def reserve(self, seq_id: Hashable, total_tokens: int) -> None:
         """Grow the block table to cover ``total_tokens`` positions.
 
-        Allocation-only — no cache bytes are touched — so a
-        :class:`CacheExhausted` here leaves every sequence consistent and
-        the scheduler free to preempt and retry.
+        Allocation-only — no cached token is touched; the blocks handed
+        out are zeroed — so a :class:`CacheExhausted` here leaves every
+        sequence consistent and the scheduler free to preempt and retry.
         """
-        table = self._tables[seq_id]
-        needed = self.blocks_for(total_tokens) - len(table)
-        if needed <= 0:
+        self._reserve_rows((seq_id,), (total_tokens,))
+
+    def _reserve_rows(
+        self, seq_ids: Sequence[Hashable], totals: Sequence[int]
+    ) -> None:
+        """Reserve ``totals[b]`` positions for every row, all or nothing."""
+        growing = []
+        for seq_id, total in zip(seq_ids, totals):
+            table = self._tables[seq_id]
+            needed = self.blocks_for(total) - len(table)
+            if needed > 0:
+                growing.append((seq_id, table, needed))
+        if not growing:
             return
-        if needed > len(self._free):
+        short = sum(needed for _, _, needed in growing)
+        if short > len(self._free):
             raise CacheExhausted(
-                f"KV block pool exhausted: sequence {seq_id!r} needs "
-                f"{needed} more block(s), {len(self._free)} free "
+                f"KV block pool exhausted: sequence(s) "
+                f"{[seq_id for seq_id, _, _ in growing]!r} need "
+                f"{short} more block(s), {len(self._free)} free "
                 f"(pool {self.num_blocks} x {self.block_size} tokens)"
             )
-        for _ in range(needed):
-            table.append(self._free.pop())
+        for _, table, needed in growing:
+            for _ in range(needed):
+                block = self._free.pop()
+                if self._keys is not None:
+                    span = slice(
+                        block * self.block_size, (block + 1) * self.block_size
+                    )
+                    self._keys[:, span] = 0.0
+                    self._values[:, span] = 0.0
+                table.append(block)
 
     def free(self, seq_id: Hashable) -> int:
         """Release a sequence's blocks back to the pool; returns the count."""
@@ -363,15 +434,103 @@ class PagedKVCache:
         for seq_id in list(self._tables):
             self.free(seq_id)
 
+    # -- planning ---------------------------------------------------------
+    def plan(
+        self, seq_ids: Sequence[Hashable], steps: int, causal_mask: np.ndarray
+    ) -> CachePlan:
+        """Reserve ``steps`` new tokens for every row and map its slots.
+
+        Row ``b`` extends ``seq_ids[b]`` from its committed length.
+        ``causal_mask`` is the model's additive ``(context, context)``
+        mask (:attr:`MultiHeadAttention.causal_mask`); its width, the
+        model's ``max_seq_len``, is the width a decode step reads every
+        row at, and no row may end past it.  Every row's blocks are
+        reserved before the first write, all or nothing: a ``ValueError``
+        or :class:`CacheExhausted` leaves every table, length and free
+        block as it was.
+        """
+        seq_ids = tuple(seq_ids)
+        if len(set(seq_ids)) != len(seq_ids):
+            raise ValueError("seq_ids must not repeat a sequence")
+        context = causal_mask.shape[-1]
+        starts = [self._lengths[seq_id][0] for seq_id in seq_ids]
+        longest = max(starts) + steps
+        if longest > context:
+            raise ValueError(
+                f"KV cache is full: a row would hold {longest} tokens, past "
+                f"the {context}-token context (max_seq_len reached)"
+            )
+        self._reserve_rows(seq_ids, [start + steps for start in starts])
+        slots = self._slot_map(seq_ids, context)
+        positions = np.add.outer(np.asarray(starts, np.intp), np.arange(steps))
+        return CachePlan(
+            seq_ids,
+            positions,
+            slots[np.arange(len(seq_ids))[:, None], positions],
+            slots,
+            causal_mask[positions][:, None],
+        )
+
+    def _slot_map(
+        self, seq_ids: Sequence[Hashable], tokens: int
+    ) -> np.ndarray:
+        """``(rows, tokens)`` pool slots of positions ``0 .. tokens - 1``
+        through each row's block table, padded with the sentinel block."""
+        n_blocks = self.blocks_for(tokens)
+        tables = np.full((len(seq_ids), n_blocks, 1), self.num_blocks, np.intp)
+        for row, seq_id in enumerate(seq_ids):
+            table = self._tables[seq_id][:n_blocks]
+            tables[row, : len(table), 0] = table
+        tables *= self.block_size
+        return (tables + self._offsets).reshape(len(seq_ids), -1)[:, :tokens]
+
     # -- storage ----------------------------------------------------------
     def _ensure_pools(self, template: np.ndarray) -> None:
         """Allocate the K/V pools from the first key tensor's geometry."""
         if self._keys is not None:
             return
         heads, d_head = template.shape[1], template.shape[3]
-        shape = (self.n_layers, self.num_blocks, heads, self.block_size, d_head)
+        slots = (self.num_blocks + 1) * self.block_size
+        shape = (self.n_layers, slots, heads, d_head)
         self._keys = np.zeros(shape, dtype=template.dtype)
         self._values = np.zeros(shape, dtype=template.dtype)
+
+    def write(
+        self,
+        layer: int,
+        seq_ids: Sequence[Hashable],
+        slots: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+    ) -> None:
+        """Store ``(rows, heads, steps, d_head)`` keys/values at reserved
+        ``(rows, steps)`` slots (:attr:`CachePlan.write_slots`).
+
+        One fancy-index write per pool for all rows; each row's length at
+        ``layer`` advances by ``steps``.
+        """
+        self._ensure_pools(k)
+        self._keys[layer][slots] = k.transpose(0, 2, 1, 3)
+        self._values[layer][slots] = v.transpose(0, 2, 1, 3)
+        steps = slots.shape[1]
+        for seq_id in seq_ids:
+            self._lengths[seq_id][layer] += steps
+
+    def read(
+        self, layer: int, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values at ``(rows, width)`` pool slots
+        (:attr:`CachePlan.slots`), ``(rows, heads, width, d_head)`` each.
+
+        One gather per pool; the arrays are fresh copies with the write
+        flag cleared — callers cannot corrupt pool state through them.
+        """
+        out = []
+        for pool in (self._keys, self._values):
+            history = pool[layer].take(slots, axis=0)  # (rows, width, h, d)
+            history.flags.writeable = False
+            out.append(history.transpose(0, 2, 1, 3))
+        return out[0], out[1]
 
     def append(
         self, layer: int, seq_id: Hashable, k: np.ndarray, v: np.ndarray
@@ -387,25 +546,11 @@ class PagedKVCache:
             raise ValueError(
                 f"expected (1, heads, t, d_head) keys, got {k.shape}"
             )
-        self._ensure_pools(k)
-        lengths = self._lengths[seq_id]
-        start = lengths[layer]
-        step = k.shape[2]
-        end = start + step
+        start = self._lengths[seq_id][layer]
+        end = start + k.shape[2]
         self.reserve(seq_id, end)
-        table = self._tables[seq_id]
-        pos = start
-        taken = 0
-        while pos < end:
-            block = table[pos // self.block_size]
-            offset = pos % self.block_size
-            take = min(self.block_size - offset, end - pos)
-            sel = (layer, block, slice(None), slice(offset, offset + take))
-            self._keys[sel] = k[0][:, taken : taken + take]
-            self._values[sel] = v[0][:, taken : taken + take]
-            pos += take
-            taken += take
-        lengths[layer] = end
+        slots = self._slot_map((seq_id,), end)[:, start:]
+        self.write(layer, (seq_id,), slots, k, v)
         return self.gather(layer, seq_id)
 
     def gather(
@@ -417,14 +562,4 @@ class PagedKVCache:
         cleared — callers cannot corrupt pool state through them.
         """
         length = self._lengths[seq_id][layer]
-        table = self._tables[seq_id]
-        blocks = np.asarray(table[: self.blocks_for(length)], dtype=np.intp)
-        out = []
-        for pool in (self._keys, self._values):
-            stacked = pool[layer, blocks]  # (n_blocks, heads, block, d_head)
-            heads, d_head = stacked.shape[1], stacked.shape[3]
-            flat = stacked.transpose(1, 0, 2, 3).reshape(heads, -1, d_head)
-            history = np.ascontiguousarray(flat[None, :, :length])
-            history.flags.writeable = False
-            out.append(history)
-        return out[0], out[1]
+        return self.read(layer, self._slot_map((seq_id,), length))

@@ -50,10 +50,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     The naive ``1/(1+exp(-x))`` overflows for large negative ``x``; the
     sign-split form only ever exponentiates ``-|x|``: ``1/(1+z)`` where
     ``x >= 0`` and ``z/(1+z)`` elsewhere, as one divide of the selected
-    numerator.
+    numerator.  With ``z`` in ``[0, 1]``, ``maximum(z, x >= 0)`` selects
+    ``1`` or ``z`` exactly as ``where(x >= 0, 1, z)`` does (NaN
+    propagates), without ``np.where``'s generic scalar loop.
     """
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0, z)
+    out = np.maximum(z, x >= 0.0)
     z += 1.0
     out /= z
     return out

@@ -15,6 +15,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from repro.autograd import Tensor, ops
+from repro.nn import functional as F
 
 __all__ = [
     "Module",
@@ -189,6 +190,4 @@ class RMSNorm(Module):
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """Numpy fast path of :meth:`forward`."""
-        from repro.nn import functional as F
-
         return F.rms_norm(x, self.gain.data, eps=self.eps)

@@ -191,27 +191,31 @@ class LlamaModel(Module):
         committed length; rows may sit at different lengths.  Returns
         next-token logits ``(batch, vocab)`` and leaves every row's tokens
         cached.  One call covers a prompt prefill (``seq > 1``) and a
-        batched decode step (``seq == 1``) alike.  Every layer is
-        row-independent, so row ``b`` is bit-identical to the same call on
-        a batch of one — the property the serving layer's replay-after-crash
-        determinism rests on; on a fresh cache the arithmetic is identical
-        to :meth:`forward_array`.  Feeding past ``max_seq_len`` total
-        tokens is rejected (sliding-window decoding is :meth:`generate`).
+        batched decode step (``seq == 1``) alike.  The call is planned once
+        (:meth:`PagedKVCache.plan`): every row's blocks are reserved before
+        the first write, all or nothing, and each layer then runs one K/V
+        write and one gather for all rows.  A decode step attends every row
+        over the full ``max_seq_len`` context, masked to its own length
+        (O(``max_seq_len``) per decoded token); a prefill attends each row
+        over exactly its own keys.  Every layer is row-independent, so row
+        ``b`` is bit-identical to the same call on a batch of one — the
+        property the serving layer's replay-after-crash determinism rests
+        on; on a fresh cache a prefill's arithmetic is identical to
+        :meth:`forward_array`.  Feeding past ``max_seq_len`` total tokens
+        is rejected (sliding-window decoding is :meth:`generate`).
         """
         ids = np.atleast_2d(np.asarray(ids))
         if ids.shape[1] == 0:
             raise ValueError("ids must contain at least one token per row")
         if len(seq_ids) != ids.shape[0]:
             raise ValueError("seq_ids must provide one sequence per row")
-        longest = max(cache.length(seq_id) for seq_id in seq_ids)
-        if longest + ids.shape[1] > self.config.max_seq_len:
-            raise ValueError("KV cache is full (max_seq_len reached)")
+        plan = cache.plan(
+            seq_ids, ids.shape[1], self.blocks[0].self_attn.causal_mask
+        )
         x = self.embed.weight.data[ids]
         for layer, block in enumerate(self.blocks):
             normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_cached(
-                normed, cache, layer, seq_ids
-            )
+            x = x + block.self_attn.forward_cached(normed, cache, layer, plan)
             x = x + block.mlp.forward_array(
                 block.post_attn_norm.forward_array(x)
             )

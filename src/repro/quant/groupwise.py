@@ -75,8 +75,9 @@ def group_params(
     lo = np.minimum(block.min(axis=0), 0.0)
     hi = np.maximum(block.max(axis=0), 0.0)
     n_levels = (1 << bits) - 1
-    span = hi - lo
-    scale = np.where(span > 0, span / n_levels, 1.0)
+    scale = (hi - lo) / n_levels
+    # Zero span, or a subnormal one that underflows: a unit grid.
+    scale = np.where(scale > 0, scale, 1.0)
     zero = np.clip(np.round(-lo / scale), 0, n_levels)
     return QuantParams(scale=scale, zero=zero, bits=bits)
 

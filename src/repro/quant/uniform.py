@@ -72,15 +72,19 @@ def compute_params(
     lo = np.minimum(lo, 0.0)
     hi = np.maximum(hi, 0.0)
     n_levels = (1 << bits) - 1
+    # The grid step is tested after the divide: a span of a few subnormal
+    # steps underflows to a zero step, which would turn codes into NaN.
+    # Like a constant slice, it gets a unit grid (within half a step).
     if symmetric:
         bound = np.maximum(np.abs(lo), np.abs(hi))
-        scale = np.where(bound > 0, 2.0 * bound / n_levels, 1.0)
+        scale = 2.0 * bound / n_levels
+        scale = np.where(scale > 0, scale, 1.0)
         zero = np.full_like(scale, (n_levels + 1) / 2.0 - 0.5)
         # Symmetric grid centres zero on the mid code.
         zero = np.round(zero)
     else:
-        span = hi - lo
-        scale = np.where(span > 0, span / n_levels, 1.0)
+        scale = (hi - lo) / n_levels
+        scale = np.where(scale > 0, scale, 1.0)
         zero = np.clip(np.round(-lo / scale), 0, n_levels)
     return QuantParams(scale=scale, zero=zero, bits=bits)
 

@@ -42,9 +42,10 @@ class InProcessWorker:
     """Model + paged KV cache living in the caller's process.
 
     ``decode(entries)`` takes ``(seq_id, token, position)`` triples — one
-    per running sequence — reserves every needed KV block *before* any
+    per running sequence — and runs one batched ragged decode step, whose
+    plan reserves every row's KV blocks, all or nothing, *before* any
     compute (so :class:`~repro.runtime.errors.CacheExhausted` can never
-    leave a half-written step), then runs one batched ragged decode step.
+    leave a half-written step or a partial reservation).
     It returns ``(logits, injected_delay)``; the delay is the value read
     from the ``"slow-decode-step"`` fault site, which the scheduler applies
     to its own clock.
@@ -93,7 +94,6 @@ class InProcessWorker:
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         self._cache.allocate(seq_id)
         try:
-            self._cache.reserve(seq_id, tokens.size)
             logits = self._model.forward_cached(
                 tokens[None, :], self._cache, [seq_id]
             )
@@ -117,9 +117,6 @@ class InProcessWorker:
         self._fault_gate(key)
         delay = faults.fault_value("slow-decode-step", key)
         seq_ids = [seq_id for seq_id, _, _ in entries]
-        # Reserve first: exhaustion must surface before any KV write.
-        for seq_id, _, position in entries:
-            self._cache.reserve(seq_id, position + 1)
         ids = np.asarray([[token] for _, token, _ in entries], dtype=np.int64)
         logits = self._model.forward_cached(ids, self._cache, seq_ids)
         return logits, delay

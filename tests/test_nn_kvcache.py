@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.models.configs import model_config
 from repro.nn import functional as F
 from repro.nn.attention import PagedKVCache
 from repro.nn.transformer import LlamaModel
@@ -331,3 +332,291 @@ class TestGenerateCached:
             trained_micro_model.generate_cached(np.array([1]), -1)
         with pytest.raises(ValueError):
             trained_micro_model.generate_cached(np.array([], dtype=int), 2)
+
+
+# ---------------------------------------------------------------------------
+# The batched decode step against the per-row loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_row_attention(attn, x, cache, layer, seq_ids):
+    """The former cached attention: one ``append``, one gather, one softmax
+    and two matmuls per row, each row over exactly its own history."""
+    batch, seq, _ = x.shape
+    starts = np.asarray([cache.length(s, layer) for s in seq_ids])
+    positions = starts[:, None] + np.arange(seq)
+    cos = attn.rope.cos[positions][:, None]
+    sin = attn.rope.sin[positions][:, None]
+
+    def split(a):
+        return a.reshape(batch, seq, attn.n_heads, attn.d_head).transpose(
+            0, 2, 1, 3
+        )
+
+    q = F.apply_rope(split(attn.q_proj.forward_array(x)), cos, sin)
+    k = F.apply_rope(split(attn.k_proj.forward_array(x)), cos, sin)
+    v = split(attn.v_proj.forward_array(x))
+    rows = []
+    for row, seq_id in enumerate(seq_ids):
+        keys, values = cache.append(
+            layer, seq_id, k[row : row + 1], v[row : row + 1]
+        )
+        scores = q[row : row + 1] @ np.swapaxes(keys, -1, -2)
+        scores /= np.sqrt(attn.d_head)
+        if seq > 1:
+            start = int(starts[row])
+            scores += attn.causal_mask[start : start + seq, : keys.shape[2]]
+        context = F.softmax(scores, axis=-1) @ values
+        rows.append(
+            context.transpose(0, 2, 1, 3).reshape(1, seq, attn.d_model)
+        )
+    return attn.o_proj.forward_array(np.concatenate(rows))
+
+
+def per_row_forward_cached(model, ids, cache, seq_ids):
+    """Oracle for :meth:`LlamaModel.forward_cached` built on the per-row
+    attention loop."""
+    ids = np.atleast_2d(np.asarray(ids))
+    x = model.embed.weight.data[ids]
+    for layer, block in enumerate(model.blocks):
+        normed = block.input_norm.forward_array(x)
+        x = x + per_row_attention(
+            block.self_attn, normed, cache, layer, seq_ids
+        )
+        x = x + block.mlp.forward_array(block.post_attn_norm.forward_array(x))
+    x = model.final_norm.forward_array(x)
+    if model.lm_head is not None:
+        return model.lm_head.forward_array(x)[:, -1, :]
+    return (x @ model.embed.weight.data.T)[:, -1, :]
+
+
+def paged_cache(model, block_size, seq_ids):
+    """A cache holding every row at full context, rows allocated."""
+    capacity = -(-model.config.max_seq_len // block_size) * len(seq_ids)
+    cache = PagedKVCache(
+        len(model.blocks), block_size=block_size, num_blocks=capacity
+    )
+    for seq_id in seq_ids:
+        cache.allocate(seq_id)
+    return cache
+
+
+def greedy_decode(forward, model, cache, prompts, steps):
+    """Prefill each prompt alone, then decode every row together greedily;
+    returns the per-step logits ``(steps, rows, vocab)`` and the tokens."""
+    rows = list(range(len(prompts)))
+    logits = np.concatenate([
+        forward(model, np.asarray(prompt)[None, :], cache, [row])
+        for row, prompt in zip(rows, prompts)
+    ])
+    tokens, history = [], []
+    for _ in range(steps):
+        last = logits.argmax(axis=-1)
+        tokens.append(last)
+        logits = forward(model, last[:, None], cache, rows)
+        history.append(logits)
+    return np.stack(history), np.stack(tokens)
+
+
+def batched(model, ids, cache, seq_ids):
+    return model.forward_cached(ids, cache, seq_ids)
+
+
+class TestBatchedDecodeMatchesPerRowOracle:
+    """One stacked attention per layer over the full context, against the
+    former loop over exact-length rows: the only difference is exact zeros
+    in the softmax sum and ``probs @ V``, an ulp-level move."""
+
+    @pytest.mark.parametrize("model_name", ["llama-test", "trained-micro"])
+    def test_ragged_batches_within_1e12(
+        self, model_name, trained_micro_model, rng
+    ):
+        if model_name == "llama-test":
+            model = LlamaModel(model_config("llama-test"), seed=0)
+        else:
+            model = trained_micro_model
+        vocab = model.config.vocab_size
+        context = model.config.max_seq_len
+        prompts = [
+            rng.integers(4, vocab, size=n) for n in (1, 7, 3, 12, 5)
+        ]
+        steps = context - 12
+        for block_size in (4, context):
+            fast, fast_tokens = greedy_decode(
+                batched, model,
+                paged_cache(model, block_size, range(5)), prompts, steps,
+            )
+            slow, slow_tokens = greedy_decode(
+                per_row_forward_cached, model,
+                paged_cache(model, block_size, range(5)), prompts, steps,
+            )
+            np.testing.assert_array_equal(fast_tokens, slow_tokens)
+            assert np.max(np.abs(fast - slow)) <= 1e-12
+            assert np.isfinite(fast).all()
+
+    def test_prefill_is_the_per_row_arithmetic(self, trained_micro_model, rng):
+        # Prefill keeps exact-length attention, ragged offsets included.
+        model = trained_micro_model
+        ids = rng.integers(4, 256, size=(3, 5))
+        fast_cache = paged_cache(model, 4, range(3))
+        slow_cache = paged_cache(model, 4, range(3))
+        for row, n in enumerate((2, 0, 6)):
+            if n:
+                warm = rng.integers(4, 256, size=(1, n))
+                model.forward_cached(warm, fast_cache, [row])
+                per_row_forward_cached(model, warm, slow_cache, [row])
+        np.testing.assert_array_equal(
+            model.forward_cached(ids, fast_cache, [0, 1, 2]),
+            per_row_forward_cached(model, ids, slow_cache, [0, 1, 2]),
+        )
+
+
+class TestDecodeInvariance:
+    """A row's logits depend only on its own history: not on the rows that
+    share its step, their order, or the cache's block geometry."""
+
+    def decode_row(self, model, block_size, order, prompts, steps):
+        cache = paged_cache(model, block_size, order)
+        for seq_id in order:
+            model.forward_cached(prompts[seq_id][None, :], cache, [seq_id])
+        feed = np.random.default_rng(7).integers(
+            4, model.config.vocab_size, size=(steps, len(prompts))
+        )
+        history = []
+        for step in range(steps):
+            ids = np.asarray([[feed[step, seq_id]] for seq_id in order])
+            logits = model.forward_cached(ids, cache, order)
+            history.append(logits[order.index(0)])
+        return np.stack(history)
+
+    def test_company_order_and_geometry_bitwise(
+        self, trained_micro_model, rng
+    ):
+        model = trained_micro_model
+        context = model.config.max_seq_len
+        prompts = [rng.integers(4, 256, size=n) for n in (6, 2, 11, 4)]
+        steps = context - 11
+        alone = self.decode_row(model, context, [0], prompts, steps)
+        for block_size, order in [
+            (context, [0, 1]),
+            (4, [2, 0, 3]),
+            (3, [3, 2, 1, 0]),
+            (1, [1, 3, 0, 2]),
+            (16, [0]),
+        ]:
+            np.testing.assert_array_equal(
+                self.decode_row(model, block_size, order, prompts, steps),
+                alone,
+            )
+
+
+class TestStaleBlockIsolation:
+    """Freed blocks come back zeroed: a poisoned sequence's NaN/inf K/V
+    never reaches the masked (padded) slots of a row that reuses them."""
+
+    @pytest.mark.parametrize("block_size", [3, 5, 16, "context"])
+    def test_recycled_poisoned_blocks(
+        self, block_size, trained_micro_model, rng
+    ):
+        model = trained_micro_model
+        context = model.config.max_seq_len
+        block_size = context if block_size == "context" else block_size
+        heads = model.config.n_heads
+        d_head = model.config.d_model // heads
+        num_blocks = 3 * -(-context // block_size)
+        cache = PagedKVCache(len(model.blocks), block_size, num_blocks)
+        # Poison every slot of the whole pool through one sequence.
+        cache.allocate("poison")
+        poison = np.full((1, heads, num_blocks * block_size, d_head), np.nan)
+        poison[..., ::2, :] = np.inf
+        for layer in range(len(model.blocks)):
+            cache.append(layer, "poison", poison, -poison)
+        assert cache.free_blocks == 0
+        cache.free("poison")
+        prompts = {"a": rng.integers(4, 256, size=2),
+                   "b": rng.integers(4, 256, size=5),
+                   "c": rng.integers(4, 256, size=1)}
+        rows = list(prompts)
+        for seq_id in rows:
+            cache.allocate(seq_id)
+            model.forward_cached(prompts[seq_id][None, :], cache, [seq_id])
+        alone = {seq_id: model.new_cache() for seq_id in rows}
+        for seq_id in rows:
+            model.forward_cached(prompts[seq_id][None, :], alone[seq_id], [0])
+        feed = rng.integers(4, 256, size=(context - 5, len(rows)))
+        for tokens in feed:
+            logits = model.forward_cached(tokens[:, None], cache, rows)
+            assert np.isfinite(logits).all()
+            for row, seq_id in enumerate(rows):
+                single = model.forward_cached(
+                    tokens[row : row + 1, None], alone[seq_id], [0]
+                )
+                np.testing.assert_array_equal(logits[row], single[0])
+
+
+class TestAllOrNothing:
+    """A multi-row call that cannot reserve every row's blocks raises before
+    writing anything: lengths, free blocks and histories stay as they were."""
+
+    @pytest.fixture
+    def setup(self, micro_model, rng):
+        model = micro_model
+        cache = PagedKVCache(len(model.blocks), block_size=4, num_blocks=4)
+        for seq_id in "abc":
+            cache.allocate(seq_id)
+            model.forward_cached(
+                rng.integers(4, 256, size=(1, 4)), cache, [seq_id]
+            )
+        return model, cache
+
+    def snapshot(self, cache, model):
+        return (
+            {s: [cache.length(s, layer) for layer in range(len(model.blocks))]
+             for s in cache.seq_ids()},
+            cache.free_blocks,
+            {s: [cache.gather(layer, s) for layer in range(len(model.blocks))]
+             for s in cache.seq_ids() if cache.length(s)},
+        )
+
+    def assert_unchanged(self, before, after):
+        assert after[0] == before[0]
+        assert after[1] == before[1]
+        for seq_id, layers in before[2].items():
+            for (k0, v0), (k1, v1) in zip(layers, after[2][seq_id]):
+                np.testing.assert_array_equal(k0, k1)
+                np.testing.assert_array_equal(v0, v1)
+
+    def test_decode_exhaustion_leaves_cache_untouched(self, setup):
+        model, cache = setup
+        before = self.snapshot(cache, model)
+        assert cache.free_blocks == 1  # a and b both need a new block
+        with pytest.raises(CacheExhausted):
+            model.forward_cached(np.array([[5], [6]]), cache, ["a", "b"])
+        self.assert_unchanged(before, self.snapshot(cache, model))
+        cache.free("c")
+        logits = model.forward_cached(np.array([[5], [6]]), cache, ["a", "b"])
+        assert logits.shape == (2, model.config.vocab_size)
+        assert cache.length("a", 1) == cache.length("b", 1) == 5
+
+    def test_prefill_exhaustion_leaves_cache_untouched(self, setup, rng):
+        model, cache = setup
+        cache.free("c")
+        cache.allocate("d")
+        cache.allocate("e")
+        before = self.snapshot(cache, model)
+        ids = rng.integers(4, 256, size=(2, 5))  # two blocks per row
+        assert cache.free_blocks == 2
+        with pytest.raises(CacheExhausted):
+            model.forward_cached(ids, cache, ["d", "e"])
+        self.assert_unchanged(before, self.snapshot(cache, model))
+        cache.free("a")
+        cache.free("b")
+        model.forward_cached(ids, cache, ["d", "e"])
+        assert cache.length("d", 1) == cache.length("e", 1) == 5
+
+    def test_repeated_sequence_rejected(self, setup):
+        model, cache = setup
+        before = self.snapshot(cache, model)
+        with pytest.raises(ValueError, match="repeat"):
+            model.forward_cached(np.array([[5], [6]]), cache, ["a", "a"])
+        self.assert_unchanged(before, self.snapshot(cache, model))

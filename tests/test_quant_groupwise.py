@@ -63,3 +63,13 @@ class TestQuantizeGroupwise:
         result = quantize_groupwise(w, 2, 8)
         assert result.codes.min() >= 0
         assert result.codes.max() <= 3
+
+    def test_subnormal_group_gets_unit_grid(self):
+        # A subnormal span underflows to a zero step when divided by the
+        # level count: the group must get a unit grid, not NaN codes.
+        w = np.zeros((8, 2))
+        w[:4, 0] = 5e-324
+        result = quantize_groupwise(w, 4, 4)
+        assert result.scales[0, 0] == 1.0
+        assert result.codes.min() >= 0 and result.codes.max() <= 15
+        assert np.all(np.isfinite(result.dequantize()))

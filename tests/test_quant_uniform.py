@@ -66,6 +66,18 @@ class TestComputeParams:
         params = compute_params(w, 4)
         assert np.allclose(quantize_dequantize(w, params), 0.0)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_subnormal_span_gets_unit_grid(self, symmetric):
+        # A span of one subnormal step underflows when divided by the
+        # level count; the grid must not divide by the zero step.
+        w = np.full((3, 3), 5e-324)
+        w[0, 0] = -5e-324
+        params = compute_params(w, 4, symmetric=symmetric)
+        assert np.all(params.scale == 1.0)
+        codes = quantize(w, params)
+        assert codes.min() >= 0 and codes.max() <= 15
+        assert np.all(np.abs(quantize_dequantize(w, params) - w) <= 0.5)
+
     def test_per_axis_params_shape(self, rng):
         w = rng.normal(size=(6, 5))
         params = compute_params(w, 4, axis=1)
