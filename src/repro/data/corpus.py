@@ -70,7 +70,9 @@ class SyntheticCorpus:
     # ------------------------------------------------------------------
     def sample_word_ids(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
         """Sample a word-id stream by concatenating domain segments."""
-        chunks: list[np.ndarray] = []
+        if n_tokens < 0:
+            raise ValueError("n_tokens must be non-negative")
+        chunks: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         total = 0
         while total < n_tokens:
             grammar = self.grammars[rng.choice(len(self.grammars), p=self.weights)]
@@ -108,18 +110,25 @@ def default_tokenizer(n_words: int = DEFAULT_N_WORDS, seed: int = 7) -> WordToke
     return WordTokenizer(build_lexicon(n_words, seed=seed))
 
 
+#: ``(branching, zipf_exponent, seed)`` of each c4-sim domain.
+_C4_DOMAIN_SPECS = ((5, 1.2, 101), (8, 1.0, 202), (4, 1.4, 303), (10, 0.8, 404))
+
+
+def _domain(
+    n_words: int, branching: int, zipf_exponent: float, seed: int
+) -> MarkovGrammar:
+    return MarkovGrammar(
+        n_words,
+        branching=branching,
+        zipf_exponent=zipf_exponent,
+        seed=seed,
+        class_seed=SHARED_CLASS_SEED,
+    )
+
+
 def c4_domains(n_words: int = DEFAULT_N_WORDS) -> list[MarkovGrammar]:
     """The four web-like domains mixed into c4-sim."""
-    return [
-        MarkovGrammar(n_words, branching=5, zipf_exponent=1.2, seed=101,
-                      class_seed=SHARED_CLASS_SEED),
-        MarkovGrammar(n_words, branching=8, zipf_exponent=1.0, seed=202,
-                      class_seed=SHARED_CLASS_SEED),
-        MarkovGrammar(n_words, branching=4, zipf_exponent=1.4, seed=303,
-                      class_seed=SHARED_CLASS_SEED),
-        MarkovGrammar(n_words, branching=10, zipf_exponent=0.8, seed=404,
-                      class_seed=SHARED_CLASS_SEED),
-    ]
+    return [_domain(n_words, *spec) for spec in _C4_DOMAIN_SPECS]
 
 
 def c4_sim(
@@ -148,12 +157,13 @@ def wikitext2_sim(
     C4-calibrated / WikiText-2-evaluated gap in the paper's Table 1.
     """
     tokenizer = tokenizer or default_tokenizer(n_words)
-    domains = c4_domains(n_words)
-    unseen = MarkovGrammar(n_words, branching=10, zipf_exponent=1.1, seed=505,
-                           class_seed=SHARED_CLASS_SEED)
+    # Each domain is seeded on its own, so building only the one mixed
+    # here gives the same grammar as c4_domains()[1].
+    shared = _domain(n_words, *_C4_DOMAIN_SPECS[1])
+    unseen = _domain(n_words, branching=10, zipf_exponent=1.1, seed=505)
     return SyntheticCorpus(
         name="wikitext2-sim",
-        grammars=[domains[1], unseen],
+        grammars=[shared, unseen],
         weights=[0.8, 0.2],
         tokenizer=tokenizer,
         seed=13,

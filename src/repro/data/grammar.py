@@ -21,6 +21,7 @@ The grammars serve three roles:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -88,7 +89,6 @@ class MarkovGrammar:
         # ``branching`` successor classes with Zipfian probabilities.
         branch_probs = _zipf(self.branching, zipf_exponent)
         self._branch_probs = branch_probs
-        self._branch_cumulative = np.cumsum(branch_probs)
         n_contexts = self.n_classes * self.n_classes
         self._successor_classes = np.empty(
             (n_contexts, self.branching), dtype=np.int64
@@ -108,11 +108,23 @@ class MarkovGrammar:
             (rows, cols),
             (1.0 - self.smoothing) * np.tile(branch_probs, n_contexts),
         )
+        # The samplers' tables as Python lists: the per-token loops then
+        # index and compare plain ints and floats, never numpy scalars.
+        # The cumulative lists hold the float64 values of ``np.cumsum``.
+        self._word_classes: list[int] = self.word_class.tolist()
+        self._successor_rows: list[list[int]] = self._successor_classes.tolist()
+        self._branch_cumulative: list[float] = np.cumsum(branch_probs).tolist()
+        self._class_members: list[list[int]] = [
+            members.tolist() for members in self.class_words
+        ]
+        self._class_cumulative: list[list[float]] = [
+            np.cumsum(probs).tolist() for probs in self.class_emission
+        ]
 
     # ------------------------------------------------------------------
     def _context_index(self, context: tuple[int, int]) -> int:
-        c1 = int(self.word_class[context[0]])
-        c2 = int(self.word_class[context[1]])
+        c1 = self._word_classes[context[0]]
+        c2 = self._word_classes[context[1]]
         return c1 * self.n_classes + c2
 
     def successor_distribution(self, context: tuple[int, int]) -> np.ndarray:
@@ -131,11 +143,18 @@ class MarkovGrammar:
         return float(class_probs[word_class] * self._emission_prob[word])
 
     # ------------------------------------------------------------------
-    def _sample_word_from_class(self, c: int, u: float) -> int:
-        probs = self.class_emission[c]
-        cumulative = np.cumsum(probs)
-        index = min(int(np.searchsorted(cumulative, u)), probs.size - 1)
-        return int(self.class_words[c][index])
+    # Table lookups.  For a finite draw ``u`` in [0, 1) ``bisect_left``
+    # returns what ``np.searchsorted(side="left")`` returns on the same
+    # values; the clamp covers a cumulative sum that rounds below ``u``.
+    def _branch(self, u: float) -> int:
+        """Index of the successor branch drawn by ``u``."""
+        return min(bisect_left(self._branch_cumulative, u), self.branching - 1)
+
+    def _emit(self, c: int, u: float) -> int:
+        """The member of class ``c`` drawn by ``u``."""
+        members = self._class_members[c]
+        index = bisect_left(self._class_cumulative[c], u)
+        return members[min(index, len(members) - 1)]
 
     def sample(
         self,
@@ -154,26 +173,25 @@ class MarkovGrammar:
             )
         else:
             context = (int(start[0]), int(start[1]))
-        out = np.empty(n_tokens, dtype=np.int64)
-        branch_u = rng.random(n_tokens)
-        emit_u = rng.random(n_tokens)
-        smooth_u = rng.random(n_tokens)
-        smooth_words = rng.integers(self.n_words, size=n_tokens)
-        for index in range(n_tokens):
-            if smooth_u[index] < self.smoothing:
-                word = int(smooth_words[index])
-            else:
-                row = self._successor_classes[self._context_index(context)]
-                branch = min(
-                    int(np.searchsorted(self._branch_cumulative, branch_u[index])),
-                    self.branching - 1,
-                )
-                word = self._sample_word_from_class(
-                    int(row[branch]), emit_u[index]
-                )
-            out[index] = word
-            context = (context[1], word)
-        return out
+        branch_u = rng.random(n_tokens).tolist()
+        emit_u = rng.random(n_tokens).tolist()
+        smooth_u = rng.random(n_tokens).tolist()
+        smooth_words = rng.integers(self.n_words, size=n_tokens).tolist()
+        word_classes = self._word_classes
+        successor_rows = self._successor_rows
+        branch = self._branch
+        emit = self._emit
+        n_classes = self.n_classes
+        smoothing = self.smoothing
+        previous, current = word_classes[context[0]], word_classes[context[1]]
+        out = []
+        for b, e, s, word in zip(branch_u, emit_u, smooth_u, smooth_words):
+            if s >= smoothing:
+                row = successor_rows[previous * n_classes + current]
+                word = emit(row[branch(b)], e)
+            out.append(word)
+            previous, current = current, word_classes[word]
+        return np.asarray(out, dtype=np.int64)
 
     def continue_sequence(
         self,
@@ -194,18 +212,15 @@ class MarkovGrammar:
         context = (int(context_words[-2]), int(context_words[-1]))
         out = np.empty(length, dtype=np.int64)
         for index in range(length):
-            row = self._successor_classes[self._context_index(context)]
+            row = self._successor_rows[self._context_index(context)]
             if low_probability:
-                c = int(row[-1])  # Zipf rows are sorted most->least likely
-                members = self.class_words[c]
-                tail = members[members.size // 2 :]
-                word = int(tail[rng.integers(tail.size)])
+                # Zipf rows and members are sorted most -> least likely.
+                members = self._class_members[row[-1]]
+                tail = members[len(members) // 2 :]
+                word = tail[int(rng.integers(len(tail)))]
             else:
-                branch = min(
-                    int(np.searchsorted(self._branch_cumulative, rng.random())),
-                    self.branching - 1,
-                )
-                word = self._sample_word_from_class(int(row[branch]), rng.random())
+                c = row[self._branch(rng.random())]
+                word = self._emit(c, rng.random())
             out[index] = word
             context = (context[1], word)
         return out

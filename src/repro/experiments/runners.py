@@ -101,8 +101,10 @@ def build_context(
         seed=1234 + seed,
     )
     eval_streams = {
-        "c4-sim": c4_sim().splits(test_tokens=eval_tokens).test,
-        "wikitext2-sim": wikitext2_sim().splits(test_tokens=eval_tokens).test,
+        source.name: source.splits(
+            train_tokens=0, validation_tokens=0, test_tokens=eval_tokens
+        ).test
+        for source in (corpus, wikitext2_sim())
     }
     suites = (
         standard_task_suites(corpus, n_examples=n_task_examples)

@@ -81,8 +81,9 @@ def pretrained(
             path.unlink(missing_ok=True)
             checksum_path(path).unlink(missing_ok=True)
     model = LlamaModel(config, seed=training.seed)
-    corpus = c4_sim()
-    tokens = corpus.splits(train_tokens=_TRAIN_TOKENS).train
+    tokens = c4_sim().splits(
+        train_tokens=_TRAIN_TOKENS, validation_tokens=0, test_tokens=0
+    ).train
     Trainer(model, training).fit(tokens)
     if cache:
         save_state_dict(path, model, config)

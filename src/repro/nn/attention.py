@@ -524,7 +524,13 @@ class PagedKVCache:
 
         One gather per pool; the arrays are fresh copies with the write
         flag cleared — callers cannot corrupt pool state through them.
+        Raises ``ValueError`` before the first write, which sizes the pools.
         """
+        if self._keys is None:
+            raise ValueError(
+                "nothing has been written to this KV cache yet: its pools "
+                "are allocated at the first write"
+            )
         out = []
         for pool in (self._keys, self._values):
             history = pool[layer].take(slots, axis=0)  # (rows, width, h, d)

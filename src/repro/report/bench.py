@@ -284,7 +284,8 @@ def eval_bench_records(
       shift and reduction order);
     * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
       paged-KV-cache :meth:`generate_cached` decode (one prefill, then one
-      :meth:`forward_cached` per token; token-for-token equal);
+      :meth:`forward_cached` per token; token-for-token equal), the two
+      sides timed alternately;
     * ``packed-forward-<N>x<N>`` — per-call unpack-decode-then-matmul vs
       the memoised dense weight of an int4
       :class:`~repro.quant.formats.FormatLinear`.
@@ -357,6 +358,7 @@ def eval_bench_records(
             ),
             repeats,
             np.array_equal,
+            alternate=True,
         ),
         # Packed forward: decode-per-call vs the memoised dense weight.
         _measure(

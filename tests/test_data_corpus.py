@@ -37,6 +37,27 @@ class TestSyntheticCorpus:
         assert splits.validation.size == 200
         assert splits.test.size == 300
 
+    def test_zero_tokens_is_an_empty_stream(self, corpus):
+        tokens = corpus.tokens(0)
+        assert tokens.dtype == np.int64 and tokens.size == 0
+        with pytest.raises(ValueError):
+            corpus.tokens(-1)
+
+    def test_splits_are_seeded_independently(self, corpus):
+        # Asking for one split only leaves that split's stream unchanged.
+        full = corpus.splits(
+            train_tokens=900, validation_tokens=200, test_tokens=300
+        )
+        test_only = corpus.splits(
+            train_tokens=0, validation_tokens=0, test_tokens=300
+        )
+        train_only = corpus.splits(
+            train_tokens=900, validation_tokens=0, test_tokens=0
+        )
+        assert np.array_equal(test_only.test, full.test)
+        assert np.array_equal(train_only.train, full.train)
+        assert train_only.test.size == test_only.train.size == 0
+
     def test_text_round_trip(self, corpus):
         text = corpus.text(50)
         assert np.array_equal(corpus.tokenizer.encode(text), corpus.tokens(50))

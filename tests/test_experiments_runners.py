@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.experiments.runners as runners
+from repro.data.corpus import c4_sim, wikitext2_sim
 from repro.data.tasks import build_task_suite
 from repro.experiments.runners import (
     ExperimentContext,
+    build_context,
     run_figure2,
     run_table1,
     run_table2,
@@ -39,6 +42,20 @@ def micro_context(trained_micro_model, calibration, corpus_splits,
         group_size=8,
         seed=0,
     )
+
+
+class TestBuildContext:
+    def test_eval_streams_are_the_default_test_splits(
+        self, monkeypatch, micro_model
+    ):
+        monkeypatch.setattr(runners, "pretrained", lambda name: micro_model)
+        context = build_context(
+            "micro", n_calibration=2, eval_tokens=600, with_tasks=False
+        )
+        assert list(context.eval_streams) == ["c4-sim", "wikitext2-sim"]
+        for corpus in (c4_sim(), wikitext2_sim()):
+            expected = corpus.splits(test_tokens=600).test
+            assert np.array_equal(context.eval_streams[corpus.name], expected)
 
 
 class TestRunTable1:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data.corpus import c4_sim
 from repro.models.configs import MODEL_CONFIGS, model_config
 from repro.models.zoo import clone_model, default_cache_dir, pretrained
 from repro.nn.transformer import LlamaModel
-from repro.training.trainer import TrainingConfig
+from repro.training.trainer import Trainer, TrainingConfig
 
 
 class TestConfigs:
@@ -46,6 +47,18 @@ class TestZooCache:
         quick = TrainingConfig(steps=2, batch_size=4, seq_len=16, seed=0)
         pretrained("llama-test", training=quick, cache=False)
         assert not (tmp_path / "models").exists()
+
+    def test_trains_on_the_c4_sim_train_split(self, tmp_path, monkeypatch):
+        # Cached checkpoints stay valid only while this stream is the one
+        # the default splits() call returned.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seen = []
+        monkeypatch.setattr(
+            Trainer, "fit", lambda trainer, tokens: seen.append(tokens)
+        )
+        quick = TrainingConfig(steps=1, batch_size=2, seq_len=8, seed=0)
+        pretrained("llama-test", training=quick, cache=False)
+        assert np.array_equal(seen[0], c4_sim().splits().train)
 
     def test_cache_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "x"))

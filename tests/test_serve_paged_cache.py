@@ -137,6 +137,20 @@ class TestBlockPool:
             with pytest.raises(ValueError):
                 array[0, 0, 0, 0] = 99.0
 
+    def test_read_before_first_write_is_a_clear_error(self):
+        cache = PagedKVCache(1)
+        cache.allocate("a")
+        with pytest.raises(ValueError, match="nothing has been written"):
+            cache.gather(0, "a")
+        with pytest.raises(ValueError, match="nothing has been written"):
+            cache.read(0, np.zeros((1, 0), dtype=np.intp))
+
+    def test_empty_sequence_gathers_an_empty_history(self):
+        cache, k = self._filled_cache()
+        cache.allocate("b")
+        keys, values = cache.gather(0, "b")
+        assert keys.shape == values.shape == (1, k.shape[1], 0, k.shape[3])
+
     def test_exhaustion_is_typed_and_pre_write(self):
         cache = PagedKVCache(n_layers=1, block_size=2, num_blocks=2)
         cache.allocate("a")
