@@ -4,10 +4,9 @@ An AST-based lint framework with rules that encode the repo's numeric and
 autograd invariants (stabilized ``exp``/``log``, ``sink``-routed backward
 closures, float64-only differentiation) plus general API hygiene, and a
 whole-program layer (``--whole-program``) that builds a cross-module
-project model to check import cycles, dead exports, symbolic tensor
-shapes/dtypes, and interprocedural autograd contracts.  See
-``docs/ANALYSIS.md`` for the rule catalogue, suppression syntax, and the
-``Shapes:`` annotation convention.
+project model to check import cycles, dead exports, fork safety, cache
+escapes, and integer ranges.  See ``docs/ANALYSIS.md`` for the rule
+catalogue, suppression syntax, and the ``Bits:`` annotation convention.
 
 Usage::
 

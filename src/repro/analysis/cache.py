@@ -22,7 +22,7 @@ from typing import Optional
 __all__ = ["ANALYSIS_VERSION", "AnalysisCache", "rules_fingerprint"]
 
 #: Bump when diagnostics or summary layout change shape.
-ANALYSIS_VERSION = 4
+ANALYSIS_VERSION = 5
 
 
 def rules_fingerprint() -> str:

@@ -8,9 +8,10 @@ Two analysis modes:
 
 * per-module (default) — each file is linted in isolation;
 * ``--whole-program`` — files are loaded into a project, enabling the
-  cross-module passes (import cycles, dead exports, symbolic shape/dtype
-  dataflow, autograd op contracts) plus an incremental cache keyed by
-  content hash, so warm runs re-analyze only modified files.
+  cross-module passes (import cycles, dead exports, effects and fork
+  safety, cache-owned array escapes, integer ranges) plus an incremental
+  cache keyed by content hash, so warm runs re-analyze only modified
+  files.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--whole-program",
         action="store_true",
-        help="enable the cross-module passes (import graph, symbolic "
-        "shapes, autograd contracts) and the incremental cache",
+        help="enable the cross-module passes (import graph, effects, "
+        "escapes, integer ranges) and the incremental cache",
     )
     parser.add_argument(
         "--strict",
@@ -107,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-specs",
         action="store_true",
-        help="list every Shapes:/Bits: annotated function with coverage "
-        "counts and exit",
+        help="list every Bits: annotated function with coverage counts "
+        "and exit",
     )
     parser.add_argument(
         "--jobs",
@@ -158,37 +159,26 @@ def _list_rules() -> None:
 
 
 def _list_specs(paths) -> None:
-    """Enumerate every ``Shapes:``/``Bits:``-annotated function."""
+    """Enumerate every ``Bits:``-annotated function."""
     from repro.analysis.project import Project
 
     project = Project.load(paths, ())
     rows: list = []
-    shapes_count = bits_count = 0
     modules: set = set()
     for summary in project.summaries(include_consumers=False):
-        annotated: dict = {}
-        for qualname, spec in summary.specs.items():
-            annotated.setdefault(qualname, [spec.line, []])[1].append("shapes")
         for qualname, spec in summary.bit_specs.items():
-            annotated.setdefault(qualname, [spec.line, []])[1].append("bits")
-        for qualname, (line, kinds) in annotated.items():
-            shapes_count += "shapes" in kinds
-            bits_count += "bits" in kinds
             modules.add(summary.module)
             rows.append(
                 (
                     summary.path,
-                    line,
-                    f"{summary.path}:{line}: {summary.module}.{qualname} "
-                    f"[{','.join(sorted(kinds))}]",
+                    spec.line,
+                    f"{summary.path}:{spec.line}: "
+                    f"{summary.module}.{qualname} [bits]",
                 )
             )
     for _, _, text in sorted(rows):
         print(text)
-    print(
-        f"{len(rows)} annotated functions across {len(modules)} modules "
-        f"({shapes_count} with Shapes:, {bits_count} with Bits:)"
-    )
+    print(f"{len(rows)} annotated functions across {len(modules)} modules")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

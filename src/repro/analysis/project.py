@@ -3,8 +3,8 @@
 A :class:`Project` owns one :class:`ModuleSummary` per python file reachable
 from its roots.  Summaries are small, serializable extracts of everything
 the whole-program passes need — exports, imports, dotted references,
-suppression pragmas, ``Shapes:`` signatures, and ``Tensor.make`` op records
-— so that a warm run can skip parsing unchanged files entirely (see
+suppression pragmas, effect and escape records, and ``Bits:`` contracts —
+so that a warm run can skip parsing unchanged files entirely (see
 :mod:`repro.analysis.cache`).
 
 Two kinds of paths feed a project:
@@ -38,11 +38,9 @@ from repro.analysis.effects import (
     infer_effects,
 )
 from repro.analysis.ranges import BitsFunctionSpec, collect_bits_specs
-from repro.analysis.shapes import FunctionSpec, parse_docstring_spec
 
 __all__ = [
     "ImportRecord",
-    "OpRecord",
     "ModuleSummary",
     "ModuleRecord",
     "Project",
@@ -79,36 +77,6 @@ class ImportRecord:
         return ImportRecord(*record)
 
 
-@dataclasses.dataclass(frozen=True)
-class OpRecord:
-    """One ``Tensor.make(out, parents, backward)`` site in an op function.
-
-    ``parents`` is the list of parent parameter names when the parents
-    tuple is syntactically a tuple of names, else None (dynamic — e.g.
-    ``tuple(tensors)``).  ``credited`` are the names passed as first
-    argument to the backward closure's ``sink``; ``dynamic_credit`` is set
-    when sink is called on a non-name (loop variables), which makes the
-    per-parent check inapplicable.
-    """
-
-    func: str
-    line: int
-    make_line: int
-    parents: Optional[list]
-    credited: list
-    dynamic_credit: bool
-    has_backward: bool
-
-    def to_json(self) -> dict:
-        """Serializable form (cache storage)."""
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_json(record: dict) -> "OpRecord":
-        """Rebuild from :meth:`to_json` output."""
-        return OpRecord(**record)
-
-
 @dataclasses.dataclass
 class ModuleSummary:
     """Everything the whole-program passes need to know about one module."""
@@ -121,9 +89,6 @@ class ModuleSummary:
     imports: list  # of ImportRecord
     references: list  # raw dotted reference strings
     suppressions: dict  # line -> [rule ids]
-    specs: dict  # qualname -> FunctionSpec
-    spec_errors: list  # [line, message] pairs
-    ops: list  # of OpRecord
     annotations: dict = dataclasses.field(default_factory=dict)
     # name -> identifiers in its annotations/bases (liveness propagation)
     functions: list = dataclasses.field(default_factory=list)
@@ -146,9 +111,6 @@ class ModuleSummary:
             "imports": [record.to_json() for record in self.imports],
             "references": self.references,
             "suppressions": {str(k): v for k, v in self.suppressions.items()},
-            "specs": {k: v.to_json() for k, v in self.specs.items()},
-            "spec_errors": self.spec_errors,
-            "ops": [record.to_json() for record in self.ops],
             "annotations": self.annotations,
             "functions": [record.to_json() for record in self.functions],
             "escapes": [record.to_json() for record in self.escapes],
@@ -170,12 +132,6 @@ class ModuleSummary:
             suppressions={
                 int(k): list(v) for k, v in record["suppressions"].items()
             },
-            specs={
-                k: FunctionSpec.from_json(v)
-                for k, v in record["specs"].items()
-            },
-            spec_errors=[list(entry) for entry in record["spec_errors"]],
-            ops=[OpRecord.from_json(r) for r in record["ops"]],
             annotations={
                 k: list(v) for k, v in record.get("annotations", {}).items()
             },
@@ -325,30 +281,6 @@ def _collect_references(tree: ast.Module) -> list:
     return sorted(references)
 
 
-def _collect_specs(tree: ast.Module) -> tuple[dict, list]:
-    specs: dict = {}
-    errors: list = []
-
-    def visit(body: Iterable[ast.AST], prefix: str) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = prefix + node.name
-                try:
-                    spec = parse_docstring_spec(
-                        ast.get_docstring(node), qualname, node.lineno
-                    )
-                except ValueError as error:
-                    errors.append([node.lineno, str(error)])
-                    spec = None
-                if spec is not None:
-                    specs[qualname] = spec
-            elif isinstance(node, ast.ClassDef):
-                visit(node.body, prefix + node.name + ".")
-
-    visit(tree.body, "")
-    return specs, errors
-
-
 def _collect_annotations(tree: ast.Module) -> dict:
     """Identifiers named by each top-level def/class's annotations and bases.
 
@@ -396,80 +328,10 @@ def _collect_annotations(tree: ast.Module) -> dict:
     return annotations
 
 
-def _collect_ops(tree: ast.Module) -> list:
-    records: list = []
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        backwards = {
-            child.name: child
-            for child in ast.walk(node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not node
-        }
-        for call in astutil.walk_calls(node):
-            name = astutil.call_name(call)
-            if name is None or not name.endswith("Tensor.make"):
-                continue
-            if len(call.args) < 3:
-                records.append(
-                    OpRecord(node.name, node.lineno, call.lineno, None, [], False, False)
-                )
-                continue
-            parents_arg, backward_arg = call.args[1], call.args[2]
-            parents: Optional[list] = None
-            if isinstance(parents_arg, ast.Tuple) and all(
-                isinstance(e, ast.Name) for e in parents_arg.elts
-            ):
-                parents = [e.id for e in parents_arg.elts]
-            credited: list = []
-            dynamic = False
-            has_backward = False
-            closure = None
-            if isinstance(backward_arg, ast.Name):
-                closure = backwards.get(backward_arg.id)
-            elif isinstance(backward_arg, ast.Lambda):
-                closure = backward_arg
-            if closure is not None:
-                has_backward = True
-                params = (
-                    [a.arg for a in closure.args.args]
-                    if not isinstance(closure, ast.Lambda)
-                    else [a.arg for a in closure.args.args]
-                )
-                sink_name = params[1] if len(params) == 2 else None
-                if sink_name:
-                    for inner in astutil.walk_calls(closure):
-                        if (
-                            isinstance(inner.func, ast.Name)
-                            and inner.func.id == sink_name
-                            and inner.args
-                        ):
-                            first = inner.args[0]
-                            if isinstance(first, ast.Name):
-                                if first.id not in credited:
-                                    credited.append(first.id)
-                            else:
-                                dynamic = True
-            records.append(
-                OpRecord(
-                    node.name,
-                    node.lineno,
-                    call.lineno,
-                    parents,
-                    credited,
-                    dynamic,
-                    has_backward,
-                )
-            )
-    return records
-
-
 def build_summary(context: ModuleContext, is_consumer: bool) -> ModuleSummary:
     """Extract the whole-program summary of one parsed module."""
     tree = context.tree
     module = context.module_name
-    specs, spec_errors = _collect_specs(tree)
     bit_specs, bit_errors = collect_bits_specs(tree)
     return ModuleSummary(
         module=module,
@@ -483,9 +345,6 @@ def build_summary(context: ModuleContext, is_consumer: bool) -> ModuleSummary:
             line: sorted(names)
             for line, names in context._parse_suppressions(context.lines).items()
         },
-        specs=specs,
-        spec_errors=spec_errors,
-        ops=_collect_ops(tree),
         annotations=_collect_annotations(tree),
         functions=[] if is_consumer else collect_function_records(tree),
         escapes=[] if is_consumer else collect_escapes(tree),
@@ -507,9 +366,6 @@ class ModuleRecord:
     analyzed: bool  # parsed during this run (cache miss)
     module_diags: Optional[list] = None  # cached per-module diagnostics
     used_suppressions: Optional[set] = None
-    dataflow_diags: Optional[list] = None  # cached dataflow diagnostics
-    dataflow_used: Optional[set] = None
-    dataflow_key: Optional[str] = None  # spec fingerprint the cache is valid for
     ranges_diags: Optional[list] = None  # cached range-pass diagnostics
     ranges_used: Optional[set] = None
     ranges_key: Optional[str] = None  # spec fingerprint the cache is valid for
@@ -577,17 +433,6 @@ class Project:
                 record.used_suppressions = {
                     (line, rule) for line, rule in entry.get("used_suppr", [])
                 }
-            if entry.get("dataflow") is not None and entry["dataflow"].get(
-                "key"
-            ):
-                record.dataflow_diags = [
-                    Diagnostic.from_json(d) for d in entry["dataflow"]["diags"]
-                ]
-                record.dataflow_used = {
-                    (line, rule)
-                    for line, rule in entry["dataflow"].get("used_suppr", [])
-                }
-                record.dataflow_key = entry["dataflow"]["key"]
             if entry.get("ranges") is not None and entry["ranges"].get("key"):
                 record.ranges_diags = [
                     Diagnostic.from_json(d) for d in entry["ranges"]["diags"]
@@ -612,9 +457,6 @@ class Project:
                 imports=[],
                 references=[],
                 suppressions={},
-                specs={},
-                spec_errors=[],
-                ops=[],
             )
             record = ModuleRecord(summary, None, digest, analyzed=True)
             record.syntax_error = Diagnostic(
@@ -645,18 +487,18 @@ class Project:
         return self.by_module.get(name)
 
     def resolve_function(self, module: str, dotted: str):
-        """Resolve ``dotted`` (as written in ``module``) to a FunctionSpec.
+        """Resolve ``dotted`` (as written in ``module``) to a BitsFunctionSpec.
 
         Returns ``(defining_module, qualname, spec)`` or None.  Handles
         same-module calls, from-imported names, and aliased module access
-        (``F.softmax``); package re-exports are chased one level through
-        the package ``__init__`` imports.
+        (``packing.pack_codes``); package re-exports are chased one level
+        through the package ``__init__`` imports.
         """
         summary = self.by_module.get(module)
         if summary is None:
             return None
-        if dotted in summary.specs:
-            return module, dotted, summary.specs[dotted]
+        if dotted in summary.bit_specs:
+            return module, dotted, summary.bit_specs[dotted]
         head, _, tail = dotted.partition(".")
         for record in summary.imports:
             if record.alias == head:
@@ -672,48 +514,14 @@ class Project:
     def _lookup_function(self, dotted: str):
         module_name, _, func = dotted.rpartition(".")
         summary = self.by_module.get(module_name)
-        if summary is not None and func in summary.specs:
-            return module_name, func, summary.specs[func]
-        # Chase one level of package re-export: repro.nn.functional.softmax
-        # written as repro.nn.softmax via the package __init__.
+        if summary is not None and func in summary.bit_specs:
+            return module_name, func, summary.bit_specs[func]
+        # Chase one level of package re-export: repro.quant.packing.pack_codes
+        # written as repro.quant.pack_codes via the package __init__.
         if summary is not None:
             for record in summary.imports:
                 if record.alias == func and record.name:
                     return self._lookup_function(record.target())
-        return None
-
-    def resolve_bits_function(self, module: str, dotted: str):
-        """Resolve ``dotted`` (as written in ``module``) to a BitsFunctionSpec.
-
-        Same resolution strategy as :meth:`resolve_function`, over the
-        ``Bits:`` spec tables instead of the ``Shapes:`` ones.
-        """
-        summary = self.by_module.get(module)
-        if summary is None:
-            return None
-        if dotted in summary.bit_specs:
-            return module, dotted, summary.bit_specs[dotted]
-        head, _, tail = dotted.partition(".")
-        for record in summary.imports:
-            if record.alias == head:
-                target = record.target()
-                full = target + ("." + tail if tail else "")
-                return self._lookup_bits_function(full)
-            if record.alias == dotted and record.name:
-                return self._lookup_bits_function(record.target())
-        if "." in dotted:
-            return self._lookup_bits_function(dotted)
-        return None
-
-    def _lookup_bits_function(self, dotted: str):
-        module_name, _, func = dotted.rpartition(".")
-        summary = self.by_module.get(module_name)
-        if summary is not None and func in summary.bit_specs:
-            return module_name, func, summary.bit_specs[func]
-        if summary is not None:
-            for record in summary.imports:
-                if record.alias == func and record.name:
-                    return self._lookup_bits_function(record.target())
         return None
 
     def effect_summaries(self) -> dict:
@@ -733,27 +541,20 @@ class Project:
         return self._uses_index
 
     def spec_fingerprint(self) -> str:
-        """Stable digest of every ``Shapes:``/``Bits:`` spec in the project.
+        """Stable digest of every ``Bits:`` spec in the project.
 
-        Cached dataflow and range results are only valid while this is
-        unchanged — a spec edit anywhere can change the verdict at any
-        call site.
+        Cached range results are only valid while this is unchanged — a
+        spec edit anywhere can change the verdict at any call site.
         """
         import hashlib
         import json
 
         payload = {
             summary.module: {
-                "shapes": {
-                    k: v.to_json() for k, v in sorted(summary.specs.items())
-                },
-                "bits": {
-                    k: v.to_json()
-                    for k, v in sorted(summary.bit_specs.items())
-                },
+                k: v.to_json() for k, v in sorted(summary.bit_specs.items())
             }
             for summary in self.summaries()
-            if summary.specs or summary.bit_specs
+            if summary.bit_specs
         }
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -764,14 +565,13 @@ class Project:
     def _module_pass(self, key: str, spec_fp: str) -> tuple:
         """Compute whatever per-module results ``key`` is missing.
 
-        Returns ``(key, module_part, flow_part, ranges_part)`` where each
-        part is a ``(diagnostics, sorted_used_suppressions)`` pair or None
-        when the cached result is still valid.  Deliberately read-only on
+        Returns ``(key, module_part, ranges_part)`` where each part is a
+        ``(diagnostics, sorted_used_suppressions)`` pair or None when the
+        cached result is still valid.  Deliberately read-only on
         ``self`` (results are merged by the caller) so that ``--jobs`` can
         run it inside forked workers without breaking the fork-safety
         contract this very analyzer enforces.
         """
-        from repro.analysis.dataflow import analyze_module_dataflow
         from repro.analysis.ranges import analyze_module_ranges
 
         record = self.records[key]
@@ -787,15 +587,6 @@ class Project:
                     ):
                         found.append(diagnostic)
             module_part = (found, sorted(context.used_suppressions()))
-        flow_part = None
-        if summary.specs and (
-            record.dataflow_diags is None or record.dataflow_key != spec_fp
-        ):
-            context = record.ensure_context()
-            flow_diags, flow_used = analyze_module_dataflow(
-                self, summary, context
-            )
-            flow_part = (flow_diags, sorted(flow_used))
         ranges_part = None
         if summary.bit_specs and (
             record.ranges_diags is None or record.ranges_key != spec_fp
@@ -805,12 +596,12 @@ class Project:
                 self, summary, context
             )
             ranges_part = (range_diags, sorted(range_used))
-        return key, module_part, flow_part, ranges_part
+        return key, module_part, ranges_part
 
     def analyze(
         self, select: Optional[Iterable[str]] = None, jobs: int = 0
     ) -> list:
-        """Run per-module rules, dataflow, and whole-program passes.
+        """Run per-module rules, the range pass, and whole-program passes.
 
         Returns the surviving diagnostics sorted by location.  ``select``
         filters the report to the given rule ids (all passes still run so
@@ -833,13 +624,6 @@ class Project:
             and (
                 record.module_diags is None
                 or (
-                    record.summary.specs
-                    and (
-                        record.dataflow_diags is None
-                        or record.dataflow_key != spec_fp
-                    )
-                )
-                or (
                     record.summary.bit_specs
                     and (
                         record.ranges_diags is None
@@ -860,17 +644,13 @@ class Project:
             outcomes = run_parallel_map(analyze_one, pending, workers=jobs)
         else:
             outcomes = [self._module_pass(key, spec_fp) for key in pending]
-        for key, module_part, flow_part, ranges_part in outcomes:
+        for key, module_part, ranges_part in outcomes:
             record = self.records[key]
             if module_part is not None:
                 record.module_diags = module_part[0]
                 record.used_suppressions = {
                     tuple(item) for item in module_part[1]
                 }
-            if flow_part is not None:
-                record.dataflow_diags = flow_part[0]
-                record.dataflow_used = {tuple(item) for item in flow_part[1]}
-                record.dataflow_key = spec_fp
             if ranges_part is not None:
                 record.ranges_diags = ranges_part[0]
                 record.ranges_used = {tuple(item) for item in ranges_part[1]}
@@ -885,9 +665,6 @@ class Project:
                 continue
             diagnostics.extend(record.module_diags)
             used.setdefault(key, set()).update(record.used_suppressions or set())
-            if summary.specs:
-                diagnostics.extend(record.dataflow_diags)
-                used.setdefault(key, set()).update(record.dataflow_used or set())
             if summary.bit_specs:
                 diagnostics.extend(record.ranges_diags or [])
                 used.setdefault(key, set()).update(record.ranges_used or set())
@@ -948,15 +725,6 @@ class Project:
                     else None
                 ),
                 "used_suppr": sorted(record.used_suppressions or set()),
-                "dataflow": (
-                    {
-                        "key": spec_fp,
-                        "diags": [d.to_json() for d in record.dataflow_diags],
-                        "used_suppr": sorted(record.dataflow_used or set()),
-                    }
-                    if record.dataflow_diags is not None
-                    else None
-                ),
                 "ranges": (
                     {
                         "key": spec_fp,

@@ -30,17 +30,15 @@ analysis time so one contract covers every bit-width.
 The interpreter (see :func:`analyze_module_ranges`) seeds an environment
 from the spec plus module-level integer constants and walks the body,
 propagating intervals through the arithmetic/shift/mask subset the packing
-and dequantization code uses.  The domain is one-sided like the shape
-pass: anything not understood becomes unknown and produces no diagnostic.
-Findings require two *known* facts to conflict:
+and dequantization code uses.  The domain is one-sided: anything not
+understood becomes unknown and produces no diagnostic.  Findings require
+two *known* facts to conflict:
 
 * ``wp-int-overflow`` — an arithmetic/shift/OR result interval exceeds its
   fixed-width container dtype;
 * ``wp-lossy-cast`` — a cast whose known source interval does not fit the
   target dtype, or a float64→float32/float16 narrowing on an annotated
   value without a justifying pragma;
-* ``wp-lut-domain`` — a lookup-table index interval exceeds the table
-  length (``arange``-built LUTs track their length);
 * ``wp-bits-spec-violation`` — code contradicts a declared ``Bits:``
   contract: a return value or call argument outside the declared interval,
   or a section that does not parse.
@@ -550,13 +548,11 @@ class RangeValue:
     """One point in the range lattice.
 
     ``interval`` is the value interval (None = unknown); ``dtype`` the
-    container dtype token; ``length`` the last-axis length interval of
-    LUT-style arrays built via ``arange`` (None = not length-tracked).
+    container dtype token.
     """
 
     interval: Optional[Interval] = None
     dtype: Optional[str] = None
-    length: Optional[Interval] = None
 
 
 RANGE_UNKNOWN = RangeValue()
@@ -761,7 +757,6 @@ class _RangeAnalyzer:
                 value = RangeValue(
                     _hull(old.interval, value.interval),
                     value.dtype or old.dtype,
-                    old.length,
                 )
             self.env[target.id] = value
         elif isinstance(target, ast.Subscript):
@@ -771,9 +766,7 @@ class _RangeAnalyzer:
                 base = self.env.get(base_node.id, RANGE_UNKNOWN)
                 self._check_store_cast(target, base, value)
                 self.env[base_node.id] = RangeValue(
-                    _hull(base.interval, value.interval),
-                    base.dtype,
-                    base.length,
+                    _hull(base.interval, value.interval), base.dtype
                 )
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
@@ -908,46 +901,22 @@ class _RangeAnalyzer:
         base = self.eval(node.value)
         index = node.slice
         if self._is_expand_index(index):
-            return base  # pure slice/newaxis: same values, keep length
+            return base  # pure slice/newaxis: same values
         index_nodes = (
             list(index.elts) if isinstance(index, ast.Tuple) else [index]
         )
-        # The trailing index runs over the last (length-tracked) axis.
-        last = self.eval(index_nodes[-1])
-        if (
-            base.length is not None
-            and base.length.hi is not None
-            and last.interval is not None
-            and last.dtype != "bool"  # boolean masks select, not index
-        ):
-            iv = last.interval
-            # hi-vs-hi comparison: spec-correlated bounds (codes in
-            # [0, 2**bits-1] indexing a 2**bits table) stay silent, while a
-            # genuinely wider index interval is refuted.
-            if iv.hi is not None and iv.hi > base.length.hi - 1:
-                self.report(
-                    "wp-lut-domain",
-                    node,
-                    f"{self.qualname}: LUT index interval {iv.format()} can "
-                    f"exceed the table length "
-                    f"{base.length.format()} (valid indices "
-                    f"[0, {base.length.hi - 1}])",
-                )
-        for extra in index_nodes[:-1]:
-            self.eval(extra)
+        for item in index_nodes:
+            self.eval(item)
         return RangeValue(base.interval, base.dtype)
 
     def eval_binop(self, node: ast.BinOp) -> RangeValue:
         left, right = self.eval(node.left), self.eval(node.right)
         op = _BINOP_EVAL.get(type(node.op))
-        length = left.length if left.length is not None else right.length
         if op is None:
-            return RangeValue(length=length)
+            return RANGE_UNKNOWN
         lhs, rhs = _coerced_interval(left), _coerced_interval(right)
         if lhs is None or rhs is None:
-            return RangeValue(
-                dtype=_promote(left.dtype, right.dtype), length=length
-            )
+            return RangeValue(dtype=_promote(left.dtype, right.dtype))
         result = op(lhs, rhs)
         dtype = _promote(left.dtype, right.dtype)
         if (
@@ -971,8 +940,8 @@ class _RangeAnalyzer:
                     "the container can silently wrap",
                 )
                 # Known-bad: drop to unknown so one bug reports once.
-                return RangeValue(dtype=dtype, length=length)
-        return RangeValue(result, dtype, length)
+                return RangeValue(dtype=dtype)
+        return RangeValue(result, dtype)
 
     # ------------------------------------------------------------------
     # Calls
@@ -999,8 +968,8 @@ class _RangeAnalyzer:
                     f"{iv.format()} loses bits (container holds "
                     f"[{lo}, {hi}])",
                 )
-                return RangeValue(dtype=target, length=value.length)
-            return RangeValue(iv, target, value.length)
+                return RangeValue(dtype=target)
+            return RangeValue(iv, target)
         if target in FLOAT_ORDER:
             source = value.dtype
             if (
@@ -1014,8 +983,7 @@ class _RangeAnalyzer:
                     "loses precision; keep scale/zero math in the wider "
                     "float or justify with a pragma",
                 )
-            return RangeValue(value.interval, target, value.length)
-        return RangeValue(value.interval, target, value.length)
+        return RangeValue(value.interval, target)
 
     def eval_call(self, node: ast.Call) -> RangeValue:
         numpy_name = astutil.numpy_call_name(node)
@@ -1031,9 +999,7 @@ class _RangeAnalyzer:
                 self.eval(arg)
             return RANGE_UNKNOWN
         if name == "len" and len(node.args) == 1:
-            value = self.eval(node.args[0])
-            if value.length is not None:
-                return RangeValue(value.length, "int")
+            self.eval(node.args[0])
             return RangeValue(Interval(0, None), "int")
         if name in ("min", "max") and len(node.args) >= 2:
             values = [self.eval(arg) for arg in node.args]
@@ -1074,7 +1040,7 @@ class _RangeAnalyzer:
             if spec is not None:
                 return self.summary.module, method, spec
             return None
-        return self.project.resolve_bits_function(self.summary.module, name)
+        return self.project.resolve_function(self.summary.module, name)
 
     def eval_numpy_call(self, node: ast.Call, numpy_name: str) -> RangeValue:
         args = node.args
@@ -1085,12 +1051,13 @@ class _RangeAnalyzer:
             if len(args) >= 2:
                 start = self.eval(args[0])
                 start_iv = start.interval or Interval(None, None)
-            length = stop.interval
             interval = None
-            if length is not None:
-                hi = length.hi - 1 if length.hi is not None else None
-                interval = Interval(start_iv.lo if start_iv.lo is not None else None, hi)
-            return RangeValue(interval, dtype_kw or "i64", length)
+            if stop.interval is not None:
+                hi = stop.interval.hi
+                interval = Interval(
+                    start_iv.lo, hi - 1 if hi is not None else None
+                )
+            return RangeValue(interval, dtype_kw or "i64")
         if numpy_name in ("zeros", "ones", "empty", "full"):
             fill = None
             if numpy_name == "zeros":
@@ -1115,9 +1082,7 @@ class _RangeAnalyzer:
                 hi_v.interval.hi if hi_v.interval is not None else None,
             )
             base = value.interval or Interval(None, None)
-            return RangeValue(
-                _intersect(base, window), value.dtype, value.length
-            )
+            return RangeValue(_intersect(base, window), value.dtype)
         if numpy_name in ("minimum", "maximum") and len(args) == 2:
             left, right = self.eval(args[0]), self.eval(args[1])
             if left.interval is not None and right.interval is not None:
@@ -1183,15 +1148,14 @@ class _RangeAnalyzer:
             target = _dtype_from_node(node.args[0])
             if target is not None:
                 return self._cast(node, base, target)
-            return RangeValue(base.interval, None, base.length)
+            return RangeValue(base.interval, None)
         if method in ("copy", "ravel", "flatten", "item"):
             base = self.eval(node.func.value)
-            return RangeValue(base.interval, base.dtype, base.length)
+            return RangeValue(base.interval, base.dtype)
         if method == "reshape":
             base = self.eval(node.func.value)
             for arg in node.args:
                 self.eval(arg)
-            # Reshape preserves values but invalidates last-axis tracking.
             return RangeValue(base.interval, base.dtype)
         if method in ("max", "min", "sum"):
             base = self.eval(node.func.value)
@@ -1288,7 +1252,7 @@ def analyze_module_ranges(project, summary, context):
 
     Returns ``(diagnostics, used_suppressions)``; diagnostics carry the
     driver-managed ids ``wp-int-overflow`` / ``wp-lossy-cast`` /
-    ``wp-lut-domain`` / ``wp-bits-spec-violation``.
+    ``wp-bits-spec-violation``.
     """
     diagnostics: list = []
     index: dict = {}
@@ -1411,10 +1375,6 @@ for _rule_id, _summary in (
     (
         "wp-lossy-cast",
         "narrowing cast whose known source interval does not fit the target",
-    ),
-    (
-        "wp-lut-domain",
-        "lookup-table index interval exceeds the table length",
     ),
 ):
     wprule(_rule_id, _summary)(_DriverManagedRule)

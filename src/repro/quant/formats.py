@@ -40,6 +40,8 @@ import numpy as np
 from repro.quant.fpq import FP4_VALUES
 from repro.quant.groupwise import (
     GroupQuantResult,
+    dequantize_groups,
+    group_of_row,
     group_params,
     quantize_groupwise,
     resolve_group_size,
@@ -60,7 +62,6 @@ __all__ = [
     "get_format",
     "resolve_format",
     "available_formats",
-    "group_of_row",
 ]
 
 #: NormalFloat4 code book (QLoRA, Dettmers et al. 2023): the 16 quantiles
@@ -93,18 +94,6 @@ _SPARSE_BLOCK = 4
 #: so normalisation never divides by zero (clipping is then covered by the
 #: declared error bound's clip-excess term).
 _FP16_TINY = np.float16(2.0 ** -24)
-
-
-def group_of_row(d_in: int, group_size: int, n_groups: int) -> np.ndarray:
-    """Group index of every input row (the last group absorbs the remainder).
-
-    Bits:
-        d_in: i64[0, *]
-        group_size: i64[1, *]
-        n_groups: i64[1, *]
-        return: i64[0, *]
-    """
-    return np.minimum(np.arange(d_in) // group_size, n_groups - 1)
 
 
 @dataclasses.dataclass
@@ -309,13 +298,9 @@ class IntFormat(QuantFormat):
             tensor: any
             return: f64
         """
-        codes = tensor.codes.astype(np.float64)
-        scales = tensor.scales.astype(np.float64)
-        zeros = tensor.zeros.astype(np.float64)
-        rows = group_of_row(
-            tensor.shape[0], tensor.group_size, tensor.n_groups()
+        return dequantize_groups(
+            tensor.codes, tensor.scales, tensor.zeros, tensor.group_size
         )
-        return (codes - zeros[rows]) * scales[rows]
 
     def error_bound(self, tensor: QuantizedTensor, weight: np.ndarray) -> float:
         """Half a grid step plus the fp16 grid-rounding slack.

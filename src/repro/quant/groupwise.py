@@ -12,10 +12,12 @@ import dataclasses
 
 import numpy as np
 
-from repro.quant.uniform import QuantParams, dequantize, quantize
+from repro.quant.uniform import QuantParams, quantize
 
 __all__ = [
     "resolve_group_size",
+    "group_of_row",
+    "dequantize_groups",
     "GroupQuantResult",
     "group_params",
     "quantize_groupwise",
@@ -33,6 +35,30 @@ def resolve_group_size(d_in: int, group_size: int | None) -> int:
     if group_size <= 0:
         raise ValueError("group_size must be positive")
     return group_size
+
+
+def group_of_row(d_in: int, group_size: int, n_groups: int) -> np.ndarray:
+    """Group index of every input row (the last group absorbs the remainder).
+
+    Bits:
+        d_in: i64[0, *]
+        group_size: i64[1, *]
+        n_groups: i64[1, *]
+        return: i64[0, *]
+    """
+    return np.minimum(np.arange(d_in) // group_size, n_groups - 1)
+
+
+def dequantize_groups(
+    codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray, group_size: int
+) -> np.ndarray:
+    """``(code - zero) * scale`` with each row's group grid, in float64.
+
+    ``scales``/``zeros`` have shape ``(n_groups, d_out)``; narrower float
+    grids upcast exactly inside the arithmetic.
+    """
+    rows = group_of_row(codes.shape[0], group_size, scales.shape[0])
+    return (np.asarray(codes, dtype=np.float64) - zeros[rows]) * scales[rows]
 
 
 @dataclasses.dataclass
@@ -56,15 +82,9 @@ class GroupQuantResult:
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the dense float weight."""
-        d_in, _ = self.codes.shape
-        out = np.empty(self.codes.shape, dtype=np.float64)
-        for g in range(self.n_groups):
-            rows = slice(g * self.group_size, min((g + 1) * self.group_size, d_in))
-            params = QuantParams(
-                scale=self.scales[g], zero=self.zeros[g], bits=self.bits
-            )
-            out[rows] = dequantize(self.codes[rows], params)
-        return out
+        return dequantize_groups(
+            self.codes, self.scales, self.zeros, self.group_size
+        )
 
 
 def group_params(

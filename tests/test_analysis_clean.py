@@ -193,17 +193,17 @@ class TestSeededWholeProgramViolations:
 
 
 SEEDED_RANGES = (
-    '"""Scratch module with a LUT gather past its table."""\n'
+    '"""Scratch module with a shift past its u16 container."""\n'
     "import numpy as np\n\n"
-    '__all__ = ["lut_get"]\n\n\n'
-    "def lut_get(idx):\n"
-    '    """Gather from a 256-entry table.\n\n'
+    '__all__ = ["pack_high"]\n\n\n'
+    "def pack_high(codes):\n"
+    '    """Shift 4-bit codes into the top of a u16 word.\n\n'
     "    Bits:\n"
-    "        idx: i64[0, 300]\n"
-    "        return: f64\n"
+    "        codes: u16[0, 15]\n"
+    "        return: u16\n"
     '    """\n'
-    "    table = np.arange(256, dtype=np.float64)\n"
-    "    return table[idx]\n"
+    "    word = np.uint16(0)\n"
+    "    return word | (codes << np.uint16(14))\n"
 )
 
 
@@ -215,17 +215,17 @@ class TestSeededRangeViolations:
         (package / "scratch.py").write_text(source)
         return package
 
-    def test_lut_domain_caught_with_pinned_anchor(self, tmp_path):
+    def test_int_overflow_caught_with_pinned_anchor(self, tmp_path):
         package = self._seed(tmp_path, SEEDED_RANGES)
         proc = run_cli(
             "--whole-program",
             "--no-cache",
             "--select",
-            "wp-int-*,wp-lossy-cast,wp-lut-domain,wp-bits-spec-violation",
+            "wp-int-*,wp-lossy-cast,wp-bits-spec-violation",
             str(package),
         )
         assert proc.returncode == 1
-        assert "wp-lut-domain" in proc.stdout
+        assert "wp-int-overflow" in proc.stdout
         assert f"{package / 'scratch.py'}:15" in proc.stdout
 
     def test_sarif_carries_the_range_rule_descriptors(self, tmp_path):
@@ -241,12 +241,12 @@ class TestSeededRangeViolations:
         payload = json.loads(proc.stdout)
         driver = payload["runs"][0]["tool"]["driver"]
         descriptors = {rule["id"]: rule for rule in driver["rules"]}
-        assert "wp-lut-domain" in descriptors
-        assert descriptors["wp-lut-domain"]["shortDescription"]["text"]
+        assert "wp-int-overflow" in descriptors
+        assert descriptors["wp-int-overflow"]["shortDescription"]["text"]
         results = payload["runs"][0]["results"]
-        lut = [r for r in results if r["ruleId"] == "wp-lut-domain"]
-        assert len(lut) == 1
-        region = lut[0]["locations"][0]["physicalLocation"]["region"]
+        overflow = [r for r in results if r["ruleId"] == "wp-int-overflow"]
+        assert len(overflow) == 1
+        region = overflow[0]["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 15
 
     def test_ranges_table_renders_declared_and_inferred(self, tmp_path):
@@ -255,8 +255,8 @@ class TestSeededRangeViolations:
             "--whole-program", "--no-cache", "--ranges", str(package)
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro.scratch.lut_get" in proc.stdout
-        assert "idx: i64 [0, 300]" in proc.stdout
+        assert "repro.scratch.pack_high" in proc.stdout
+        assert "codes: u16 [0, 15]" in proc.stdout
 
 
 class TestListSpecs:
@@ -264,12 +264,9 @@ class TestListSpecs:
         proc = run_cli("--list-specs", str(SRC_TREE / "quant"))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "repro.quant.packing.pack_codes [bits]" in proc.stdout
-        assert "repro.quant.gptq.gptq_quantize_layer [bits,shapes]" in (
-            proc.stdout
-        )
+        assert "repro.quant.gptq.gptq_quantize_layer [bits]" in proc.stdout
         summary = proc.stdout.strip().splitlines()[-1]
         assert "annotated functions across" in summary
-        assert "with Shapes:" in summary and "with Bits:" in summary
 
     def test_list_specs_works_without_whole_program_flag(self, tmp_path):
         package = tmp_path / "repro"
@@ -278,7 +275,7 @@ class TestListSpecs:
         (package / "scratch.py").write_text(SEEDED_RANGES)
         proc = run_cli("--list-specs", str(package))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro.scratch.lut_get [bits]" in proc.stdout
+        assert "repro.scratch.pack_high [bits]" in proc.stdout
         assert "1 annotated functions across 1 modules" in proc.stdout
 
 
@@ -383,7 +380,6 @@ class TestListRules:
             "wp-cache-writable-escape",
             "wp-int-overflow",
             "wp-lossy-cast",
-            "wp-lut-domain",
             "wp-bits-spec-violation",
         ):
             assert rule_id in proc.stdout

@@ -117,7 +117,7 @@ class TestListRules:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "numeric-raw-exp" in out
-        assert "wp-shape-mismatch" in out and "[whole-program]" in out
+        assert "wp-import-cycle" in out and "[whole-program]" in out
         assert "lint-unused-suppression" in out and "[synthetic]" in out
 
 

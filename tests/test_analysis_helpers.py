@@ -8,7 +8,7 @@ from repro.analysis.core import (
     ModuleContext,
     all_rule_ids,
 )
-from repro.analysis.rules import autograd, hygiene, interproc, numeric
+from repro.analysis.rules import autograd, hygiene, numeric
 
 SOURCE = (
     '"""Module under inspection."""\n'
@@ -81,6 +81,3 @@ class TestPolicyConstants:
     def test_unused_suppression_rule_is_synthetic(self):
         assert UNUSED_SUPPRESSION_RULE == "lint-unused-suppression"
         assert UNUSED_SUPPRESSION_RULE in all_rule_ids()
-
-    def test_gradcheck_suite_name_matches_this_test_tree(self):
-        assert interproc.GRADCHECK_TEST_FILENAME == "test_autograd_gradcheck.py"

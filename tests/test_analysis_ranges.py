@@ -2,8 +2,8 @@
 
 Each fixture plants exactly one bug class named in the analyzer's contract —
 a shift that overflows its u16 container, a float64→float32 narrowing on a
-scale path, a LUT gather whose index interval exceeds the table, a return
-value contradicting its declared ``Bits:`` interval — and the assertions pin
+scale path, a return value contradicting its declared ``Bits:`` interval —
+and the assertions pin
 (rule-id, file, line) so the interpreter cannot silently move or drop the
 finding.  Every positive fixture has a negative twin derived by ``.replace``
 so the rules are pinned from both sides.
@@ -29,7 +29,6 @@ RULES = [
     "wp-bits-spec-violation",
     "wp-int-overflow",
     "wp-lossy-cast",
-    "wp-lut-domain",
 ]
 
 PKG = '"""Pkg."""\n__all__ = []\n'
@@ -199,24 +198,6 @@ LOSSY = (
     "    return value.astype(np.uint8)\n"
 )
 
-LUT = (
-    '"""LUT fixture indexing beyond the table."""\n'
-    "import numpy as np\n"
-    "\n"
-    '__all__ = ["lut_get"]\n'
-    "\n"
-    "\n"
-    "def lut_get(idx):\n"
-    '    """Gather from a 256-entry table.\n'
-    "\n"
-    "    Bits:\n"
-    "        idx: i64[0, 300]\n"
-    "        return: f64\n"
-    '    """\n'
-    "    table = np.arange(256, dtype=np.float64)\n"
-    "    return table[idx]\n"
-)
-
 CONTRACT = (
     '"""Contract fixture: return and call argument out of range."""\n'
     "\n"
@@ -258,14 +239,14 @@ BADSPEC = (
 )
 
 QCLASS = (
-    '"""Method fixture: LUT sized by a self.bits contract."""\n'
+    '"""Method fixture: a self.bits contract resolved across methods."""\n'
     "import numpy as np\n"
     "\n"
     '__all__ = ["Q"]\n'
     "\n"
     "\n"
     "class Q:\n"
-    '    """LUT holder."""\n'
+    '    """Code holder."""\n'
     "\n"
     "    def codes(self):\n"
     '        """Codes.\n'
@@ -276,25 +257,23 @@ QCLASS = (
     '        """\n'
     "        return np.zeros(4, dtype=np.int64)\n"
     "\n"
-    "    def lut(self):\n"
-    '        """256-entry table but 12-bit codes: overflowing gather.\n'
+    "    def byte_codes(self):\n"
+    '        """12-bit codes declared as bytes: out of contract.\n'
     "\n"
     "        Bits:\n"
     "            self.bits: i64[1, 12]\n"
-    "            return: f64\n"
+    "            return: i64[0, 255]\n"
     '        """\n'
-    "        table = np.arange(256, dtype=np.float64)\n"
-    "        return table[self.codes()]\n"
+    "        return self.codes()\n"
     "\n"
-    "    def lut_ok(self):\n"
-    '        """Table sized from the same contract: clean.\n'
+    "    def byte_codes_ok(self):\n"
+    '        """8-bit codes under the same contract: clean.\n'
     "\n"
     "        Bits:\n"
     "            self.bits: i64[1, 8]\n"
-    "            return: f64\n"
+    "            return: i64[0, 255]\n"
     '        """\n'
-    "        table = np.arange(1 << self.bits, dtype=np.float64)\n"
-    "        return table[self.codes()]\n"
+    "        return self.codes()\n"
 )
 
 CONSTANTS = (
@@ -368,36 +347,6 @@ class TestLossyCast:
         assert not hits(diags, "wp-lossy-cast")
 
 
-class TestLutDomain:
-    FILES = {"repro/__init__.py": PKG, "repro/table.py": LUT}
-
-    def test_index_past_table_pinned(self, tmp_path):
-        root, project = load(tmp_path, self.FILES)
-        diags = project.analyze(select=RULES)
-        assert hits(diags, "wp-lut-domain") == [
-            ("wp-lut-domain", str(root / "repro" / "table.py"), 15)
-        ]
-
-    def test_index_within_table_stays_silent(self, tmp_path):
-        files = dict(self.FILES)
-        files["repro/table.py"] = LUT.replace(
-            "idx: i64[0, 300]", "idx: i64[0, 255]"
-        )
-        _, project = load(tmp_path, files)
-        assert project.analyze(select=RULES) == []
-
-    def test_self_bits_contract_resolved_across_methods(self, tmp_path):
-        root, project = load(
-            tmp_path, {"repro/__init__.py": PKG, "repro/qclass.py": QCLASS}
-        )
-        diags = project.analyze(select=RULES)
-        # Q.lut (12-bit codes, 256 entries) fires; Q.lut_ok, whose table is
-        # 2**self.bits under the same contract, must stay silent.
-        assert hits(diags, "wp-lut-domain") == [
-            ("wp-lut-domain", str(root / "repro" / "qclass.py"), 27)
-        ]
-
-
 class TestBitsSpecViolation:
     FILES = {"repro/__init__.py": PKG, "repro/contract.py": CONTRACT}
 
@@ -417,6 +366,17 @@ class TestBitsSpecViolation:
         ).replace("return wide(9)", "return wide(3)")
         _, project = load(tmp_path, files)
         assert project.analyze(select=RULES) == []
+
+    def test_self_bits_contract_resolved_across_methods(self, tmp_path):
+        root, project = load(
+            tmp_path, {"repro/__init__.py": PKG, "repro/qclass.py": QCLASS}
+        )
+        diags = project.analyze(select=RULES)
+        # Q.byte_codes (12-bit codes, declared bytes) fires; Q.byte_codes_ok,
+        # whose self.bits caps the same callee contract at 8, stays silent.
+        assert hits(diags, "wp-bits-spec-violation") == [
+            ("wp-bits-spec-violation", str(root / "repro" / "qclass.py"), 26)
+        ]
 
     def test_unparseable_section_reported(self, tmp_path):
         root, project = load(
@@ -447,7 +407,6 @@ class TestJobsAndRendering:
         "repro/__init__.py": PKG,
         "repro/packy.py": OVERFLOW,
         "repro/lossy.py": LOSSY,
-        "repro/table.py": LUT,
         "repro/contract.py": CONTRACT,
         "repro/qclass.py": QCLASS,
     }
@@ -466,15 +425,15 @@ class TestJobsAndRendering:
             select=RULES, jobs=2
         )
         assert self._key(serial) == self._key(forked)
-        assert len(serial) == 7
+        assert len(serial) == 6
 
     def test_render_ranges_lists_declared_and_inferred(self, tmp_path):
         _, project = load(
-            tmp_path, {"repro/__init__.py": PKG, "repro/table.py": LUT}
+            tmp_path, {"repro/__init__.py": PKG, "repro/lossy.py": LOSSY}
         )
         table = render_ranges(project)
-        assert "repro.table.lut_get" in table
-        assert "idx: i64 [0, 300]" in table
+        assert "repro.lossy.shrink" in table
+        assert "value: i64 [0, 300]" in table
         assert "(9 bits)" in table
 
     def test_render_ranges_without_specs(self, tmp_path):

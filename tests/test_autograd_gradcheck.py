@@ -134,10 +134,10 @@ def _op_cases():
 class TestEveryExportedOp:
     """Finite-difference coverage of the full public op surface.
 
-    The whole-program linter (``wp-gradcheck-coverage``) enforces that this
-    file exercises every ``repro.autograd.ops.__all__`` entry, and
-    ``test_every_export_has_a_case`` is the same guarantee from inside the
-    test suite.
+    ``test_every_export_has_a_case`` requires one case per
+    ``repro.autograd.ops.__all__`` entry, so a new op cannot merge without
+    a numerical gradient check, and a backward that drops a parent's
+    gradient fails that op's ``test_gradcheck`` case.
     """
 
     def test_every_export_has_a_case(self):

@@ -11,6 +11,9 @@ catching a de-optimized solver.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,6 @@ from repro.report.bench import (
     best_of,
     build_report,
     calibration_bench_records,
-    eval_bench_records,
     format_bench_records,
     load_bench_history,
     render_bench_trend,
@@ -44,6 +46,37 @@ _spec = importlib.util.spec_from_file_location(
 )
 bench_tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_tool)
+
+
+def eval_records_on_one_blas_thread(**kwargs) -> list[dict]:
+    """Run :func:`eval_bench_records` in a child process pinned to one
+    OpenBLAS thread, the way the committed records are made.
+
+    Two-thread OpenBLAS on a 2-vCPU host has phases in which every
+    mid-size GEMM runs ~16 ms; both sides of a record then time the same
+    slow GEMM and the ratio says nothing about the fast path.
+    """
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=src + os.pathsep + path if path else src,
+    )
+    script = (
+        "import json, sys\n"
+        "from repro.report import bench\n"
+        "records = bench.eval_bench_records(**json.loads(sys.argv[1]))\n"
+        "print(json.dumps(records))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(kwargs)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestCommittedArtifact:
@@ -227,8 +260,8 @@ class TestLiveSmoke:
         # catching a de-optimized fast path or lost bit-identity, not
         # re-proving the committed speedups under CI load.  Best of 3,
         # with the generate sides alternated, so one slow moment of the
-        # host cannot sink a single side.
-        records = eval_bench_records(
+        # host cannot sink a single side; one BLAS thread, as recorded.
+        records = eval_records_on_one_blas_thread(
             repeats=3, vocab=512, generate_tokens=48, packed_size=128
         )
         by_kind = {r["kind"]: r for r in records}

@@ -27,7 +27,8 @@ def resolves(path: str) -> bool:
 
 @pytest.mark.parametrize(
     "doc", ["README.md", "DESIGN.md", "docs/ALGORITHMS.md",
-            "docs/ROBUSTNESS.md", "docs/PERFORMANCE.md", "docs/FORMATS.md"]
+            "docs/ROBUSTNESS.md", "docs/PERFORMANCE.md", "docs/FORMATS.md",
+            "docs/ANALYSIS.md", "docs/SERVING.md"]
 )
 def test_referenced_files_exist(doc):
     text = (ROOT / doc).read_text()

@@ -17,10 +17,9 @@ from format_conformance import run_conformance
 from repro.quant.formats import (
     available_formats,
     get_format,
-    group_of_row,
     resolve_format,
 )
-from repro.quant.groupwise import quantize_groupwise
+from repro.quant.groupwise import group_of_row, quantize_groupwise
 
 
 @st.composite

@@ -31,11 +31,10 @@ from repro.quant.formats import (
     IntFormat,
     available_formats,
     get_format,
-    group_of_row,
     register_format,
     resolve_format,
 )
-from repro.quant.groupwise import quantize_groupwise
+from repro.quant.groupwise import group_of_row, quantize_groupwise
 from repro.quant.observer import PercentileObserver, get_observer
 from repro.runtime.errors import CheckpointError
 

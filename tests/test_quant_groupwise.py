@@ -4,9 +4,26 @@ import numpy as np
 import pytest
 
 from repro.quant.groupwise import (
+    GroupQuantResult,
+    group_of_row,
     quantize_groupwise,
     resolve_group_size,
 )
+from repro.quant.solver import quantize_with_hessian
+from repro.quant.uniform import QuantParams, dequantize
+
+
+def dequantize_per_group(result: GroupQuantResult) -> np.ndarray:
+    """The former per-group decode loop: the oracle for the vectorised one."""
+    d_in, size = result.codes.shape[0], result.group_size
+    out = np.empty(result.codes.shape, dtype=np.float64)
+    for g in range(result.n_groups):
+        rows = slice(g * size, min((g + 1) * size, d_in))
+        params = QuantParams(
+            scale=result.scales[g], zero=result.zeros[g], bits=result.bits
+        )
+        out[rows] = dequantize(result.codes[rows], params)
+    return out
 
 
 class TestResolveGroupSize:
@@ -73,3 +90,41 @@ class TestQuantizeGroupwise:
         assert result.scales[0, 0] == 1.0
         assert result.codes.min() >= 0 and result.codes.max() <= 15
         assert np.all(np.isfinite(result.dequantize()))
+
+
+class TestGroupOfRow:
+    def test_ragged_last_group_absorbs_the_remainder(self):
+        assert group_of_row(10, 4, 3).tolist() == [0] * 4 + [1] * 4 + [2] * 2
+
+
+class TestDequantizeMatchesLoop:
+    """The vectorised decode is bit-identical to the per-group loop."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    @pytest.mark.parametrize(
+        "d_in,group_size",
+        [(64, 16), (50, 16), (37, 8), (13, 5), (40, None), (12, 1), (16, 128)],
+    )
+    def test_rtn_results(self, rng, bits, d_in, group_size):
+        weight = rng.normal(size=(d_in, 7)) * rng.choice([1e-3, 1.0, 50.0])
+        result = quantize_groupwise(weight, bits, group_size)
+        fast = result.dequantize()
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast, dequantize_per_group(result))
+
+    @pytest.mark.parametrize("group_size", [8, 12, None])
+    def test_solver_results(self, rng, group_size):
+        weight = rng.normal(size=(44, 9))
+        basis = rng.normal(size=(44, 44))
+        hessian = basis @ basis.T / 44 + 0.05 * np.eye(44)
+        result = quantize_with_hessian(
+            weight, hessian, bits=3, group_size=group_size, actorder=True
+        ).group_result
+        assert np.array_equal(result.dequantize(), dequantize_per_group(result))
+
+    def test_fp16_grids(self, rng):
+        # Narrow grids upcast inside the decode, exactly as in the loop.
+        result = quantize_groupwise(rng.normal(size=(30, 5)), 4, 8)
+        result.scales = result.scales.astype(np.float16)
+        result.zeros = result.zeros.astype(np.float16)
+        assert np.array_equal(result.dequantize(), dequantize_per_group(result))
