@@ -266,6 +266,25 @@ def _intersect(a: Interval, b: Interval) -> Interval:
     return Interval(max(los) if los else None, min(his) if his else None)
 
 
+def _arange_interval(
+    start: Optional[Interval],
+    stop: Optional[Interval],
+    step: Optional[Interval],
+) -> Optional[Interval]:
+    """Values of ``np.arange(start, stop, step)``; None unless the step is
+    known positive.  Constant arguments give the exact last element."""
+    if start is None or stop is None or step is None:
+        return None
+    if step.lo is None or step.lo < 1:
+        return None
+    exact = start.lo == start.hi and stop.lo == stop.hi and step.lo == step.hi
+    if exact and start.lo is not None and stop.lo is not None:
+        if stop.lo > start.lo:
+            last = start.lo + (stop.lo - 1 - start.lo) // step.lo * step.lo
+            return Interval(start.lo, last)
+    return Interval(start.lo, stop.hi - 1 if stop.hi is not None else None)
+
+
 def effective_bits(interval: Interval) -> Optional[int]:
     """Bits needed to represent every value in ``interval`` (unsigned view).
 
@@ -1046,18 +1065,17 @@ class _RangeAnalyzer:
         args = node.args
         dtype_kw = self._dtype_keyword(node)
         if numpy_name == "arange" and args:
-            stop = self.eval(args[-1] if len(args) >= 2 else args[0])
-            start_iv = Interval(0, 0)
-            if len(args) >= 2:
-                start = self.eval(args[0])
-                start_iv = start.interval or Interval(None, None)
-            interval = None
-            if stop.interval is not None:
-                hi = stop.interval.hi
-                interval = Interval(
-                    start_iv.lo, hi - 1 if hi is not None else None
-                )
-            return RangeValue(interval, dtype_kw or "i64")
+            # numpy reads arange(stop) and arange(start, stop[, step]).
+            bounds = [self.eval(arg).interval for arg in args[:3]]
+            if len(bounds) == 1:
+                bounds.insert(0, Interval(0, 0))
+            step = bounds[2] if len(bounds) == 3 else Interval(1, 1)
+            for keyword in node.keywords:
+                if keyword.arg == "step":
+                    step = self.eval(keyword.value).interval
+            return RangeValue(
+                _arange_interval(bounds[0], bounds[1], step), dtype_kw or "i64"
+            )
         if numpy_name in ("zeros", "ones", "empty", "full"):
             fill = None
             if numpy_name == "zeros":

@@ -19,7 +19,7 @@ Three forward paths exist:
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -192,56 +192,65 @@ class MultiHeadAttention(Module):
     ) -> np.ndarray:
         """Attend new tokens against each row's cached keys/values.
 
-        ``x`` is ``(batch, seq, d_model)``; ``plan``
-        (:meth:`PagedKVCache.plan`) maps row ``b`` onto sequence
-        ``plan.seq_ids[b]``, whose new keys/values are written at
-        ``layer`` before it attends.
+        ``x`` is ``(tokens, 1, d_model)``: the new tokens of ``plan``'s
+        rows packed in row order (:class:`CachePlan`).  Row ``b`` extends
+        sequence ``plan.seq_ids[b]``, whose new keys/values are written at
+        ``layer`` before it attends.  RoPE runs once over all tokens at
+        their own positions; every projection runs per row group
+        (:meth:`CachePlan.rowwise`), as each row's own call would run it.
 
-        A decode step (``seq == 1``) runs every row as one stacked
-        attention over the full context (``max_seq_len`` keys), each row
-        masked to its own length: one write, one gather, one softmax.
-        Every row runs the same shapes whatever its company and the cache's
-        block geometry, and its padded keys/values read exact zeros, so row
-        ``b`` is bit-identical to the same call on a batch of one, at
-        O(``max_seq_len``) per decoded token.  A prefill (``seq > 1``)
-        attends each row over exactly its ``start + seq`` keys, masked
-        causally from its own offset; on an empty cache that is the
-        arithmetic of :meth:`forward_array` (identical rope rows, mask
-        values and reductions).
+        The leading ``plan.decode`` rows (one new token each) run as one
+        stacked attention over the full context (``max_seq_len`` keys),
+        each row masked to its own length: one gather, one softmax.  Every
+        such row runs the same shapes whatever its company and the cache's
+        block geometry, and its padded keys/values read exact zeros, so it
+        is bit-identical to the same row decoded alone, at
+        O(``max_seq_len``) per decoded token.  Every other row attends over
+        exactly its ``start + steps`` keys, masked causally from its own
+        offset; on an empty cache that is the arithmetic of
+        :meth:`forward_array` (identical rope rows, mask values and
+        reductions).
         """
-        batch, seq, _ = x.shape
-        # Per-row rope rows, broadcast over heads: (batch, 1, seq, d_head).
+        tokens = x.shape[0]
+        # Per-token rope rows, broadcast over heads: (tokens, 1, d_head).
         cos = self.rope.cos[plan.positions][:, None]
         sin = self.rope.sin[plan.positions][:, None]
 
-        def split(a: np.ndarray) -> np.ndarray:
-            return a.reshape(batch, seq, self.n_heads, self.d_head).transpose(
-                0, 2, 1, 3
-            )
+        def project(linear: Linear) -> np.ndarray:
+            out = plan.rowwise(linear.forward_array, x)
+            return out.reshape(tokens, self.n_heads, self.d_head)
 
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos, sin)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos, sin)
-        v = split(self.v_proj.forward_array(x))
-        cache.write(layer, plan.seq_ids, plan.write_slots, k, v)
-        if seq == 1:
-            keys, values = cache.read(layer, plan.slots)
-            context = self._attend(q, keys, values, plan.mask)
-        else:
-            # Exact length: the first end = start + seq columns of the
+        q = F.apply_rope(project(self.q_proj), cos, sin)
+        k = F.apply_rope(project(self.k_proj), cos, sin)
+        v = project(self.v_proj)
+        cache.write(layer, plan.seq_ids, plan.steps, plan.write_slots, k, v)
+        parts = []
+        decode = plan.decode
+        if decode:
+            keys, values = cache.read(layer, plan.slots[:decode])
+            context = self._attend(
+                q[:decode, :, None], keys, values,
+                plan.mask[:decode, None, None],
+            )
+            parts.append(context.reshape(decode, 1, self.d_model))
+        first = decode
+        for row in range(decode, len(plan.seq_ids)):
+            # Exact length: the first end = start + steps columns of the
             # offset causal mask, for start == 0 the forward_array mask.
-            rows = []
-            for row, start in enumerate(plan.positions[:, 0].tolist()):
-                end = start + seq
-                keys, values = cache.read(
-                    layer, plan.slots[row : row + 1, :end]
-                )
-                rows.append(self._attend(
-                    q[row : row + 1], keys, values,
-                    plan.mask[row : row + 1, ..., :end],
-                ))
-            context = np.concatenate(rows)
-        heads = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
-        return self.o_proj.forward_array(heads)
+            steps = plan.steps[row]
+            end = plan.starts[row] + steps
+            keys, values = cache.read(layer, plan.slots[row : row + 1, :end])
+            context = self._attend(
+                q[first : first + steps].transpose(1, 0, 2)[None],
+                keys, values,
+                plan.mask[first : first + steps, :end],
+            )
+            parts.append(
+                context[0].transpose(1, 0, 2).reshape(steps, 1, self.d_model)
+            )
+            first += steps
+        heads = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return plan.rowwise(self.o_proj.forward_array, heads)
 
     def _attend(
         self,
@@ -261,26 +270,57 @@ class CachePlan(NamedTuple):
     """Where one cached forward writes and reads, shared by every layer.
 
     Built once per call by :meth:`PagedKVCache.plan`, after every row's
-    blocks are reserved.
+    blocks are reserved.  A call's new tokens are *packed*: row after row,
+    ``steps[b]`` tokens each, in one ``(tokens, 1, ...)`` array — each
+    token a row of one, so a decode step's packing is its own
+    ``(rows, 1, ...)`` batch.
 
     - ``seq_ids``: the sequence of each row.
-    - ``positions``: ``(rows, steps)`` absolute positions of each row's
-      new tokens (its committed length onwards).
-    - ``write_slots``: ``(rows, steps)`` pool slots
-      (``block * block_size + offset``) of those tokens.
+    - ``starts``: each row's committed length (its first new position).
+    - ``steps``: each row's new-token count.
+    - ``decode``: how many leading rows hold one new token each; a call
+      attends those as one stacked decode and every later row on its own.
+    - ``views``: the index of each row group into a packed array, as
+      the row's own call holds it: ``[:decode]``, a ``(decode, 1, ...)``
+      decode step, then ``[None, first:stop, 0]``, a ``(1, steps, ...)``
+      prefill, for every later row.
+    - ``positions``: ``(tokens,)`` absolute position of every new token.
+    - ``write_slots``: ``(tokens,)`` pool slot
+      (``block * block_size + offset``) of every new token.
     - ``slots``: ``(rows, context)`` pool slot of each row's positions
       ``0 .. context - 1``, where ``context`` (the model's
       ``max_seq_len``) is the width every decode row is read at; past a
       row's blocks they point into the cache's zero sentinel block.
-    - ``mask``: ``(rows, 1, steps, context)`` additive causal mask, ``0``
-      up to each new token's position and ``-inf`` after it.
+    - ``mask``: ``(tokens, context)`` additive causal mask, ``0`` up to
+      each new token's position and ``-inf`` after it.
     """
 
     seq_ids: tuple[Hashable, ...]
+    starts: tuple[int, ...]
+    steps: tuple[int, ...]
+    decode: int
+    views: tuple[tuple, ...]
     positions: np.ndarray
     write_slots: np.ndarray
     slots: np.ndarray
     mask: np.ndarray
+
+    def rowwise(
+        self, product: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+    ) -> np.ndarray:
+        """``product`` of packed ``x``, one call per row group (``views``).
+
+        Each row therefore meets the BLAS call its own call would make —
+        one ``(decode, 1, d)`` product for the decode rows, one
+        ``(1, L, d)`` product per prefill row — and no row's result
+        depends on its company or on the packing.  Packed back to
+        ``(tokens, 1, out)``.
+        """
+        if self.decode == len(self.seq_ids):
+            return product(x)  # a decode step: x is its one group
+        parts = [product(x[view]) for view in self.views]
+        parts = [part.reshape(-1, 1, part.shape[-1]) for part in parts]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class PagedKVCache:
@@ -436,11 +476,15 @@ class PagedKVCache:
 
     # -- planning ---------------------------------------------------------
     def plan(
-        self, seq_ids: Sequence[Hashable], steps: int, causal_mask: np.ndarray
+        self,
+        seq_ids: Sequence[Hashable],
+        steps: Sequence[int],
+        causal_mask: np.ndarray,
     ) -> CachePlan:
-        """Reserve ``steps`` new tokens for every row and map its slots.
+        """Reserve ``steps[b]`` new tokens for every row and map its slots.
 
-        Row ``b`` extends ``seq_ids[b]`` from its committed length.
+        Row ``b`` extends ``seq_ids[b]`` from its committed length; rows
+        may add different token counts (a prefill next to a decode).
         ``causal_mask`` is the model's additive ``(context, context)``
         mask (:attr:`MultiHeadAttention.causal_mask`); its width, the
         model's ``max_seq_len``, is the width a decode step reads every
@@ -450,25 +494,49 @@ class PagedKVCache:
         block as it was.
         """
         seq_ids = tuple(seq_ids)
+        steps = tuple(steps)
         if len(set(seq_ids)) != len(seq_ids):
             raise ValueError("seq_ids must not repeat a sequence")
         context = causal_mask.shape[-1]
-        starts = [self._lengths[seq_id][0] for seq_id in seq_ids]
-        longest = max(starts) + steps
-        if longest > context:
+        starts = tuple([self._lengths[seq_id][0] for seq_id in seq_ids])
+        ends = [start + n for start, n in zip(starts, steps)]
+        if max(ends) > context:
             raise ValueError(
-                f"KV cache is full: a row would hold {longest} tokens, past "
-                f"the {context}-token context (max_seq_len reached)"
+                f"KV cache is full: a row would hold {max(ends)} tokens, "
+                f"past the {context}-token context (max_seq_len reached)"
             )
-        self._reserve_rows(seq_ids, [start + steps for start in starts])
+        self._reserve_rows(seq_ids, ends)
         slots = self._slot_map(seq_ids, context)
-        positions = np.add.outer(np.asarray(starts, np.intp), np.arange(steps))
+        decode = 0
+        while decode < len(steps) and steps[decode] == 1:
+            decode += 1
+        # (positions, write slots) of each row group, in packed order.
+        views, parts = [], []
+        if decode:
+            views.append((slice(0, decode),))
+            head = np.asarray(starts[:decode], np.intp)
+            parts.append((head, slots[np.arange(decode), head]))
+        first = decode
+        for row in range(decode, len(seq_ids)):
+            start, n = starts[row], steps[row]
+            views.append((None, slice(first, first + n), 0))
+            parts.append(
+                (np.arange(start, start + n), slots[row, start : start + n])
+            )
+            first += n
+        positions, write_slots = (
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        )
         return CachePlan(
             seq_ids,
+            starts,
+            steps,
+            decode,
+            tuple(views),
             positions,
-            slots[np.arange(len(seq_ids))[:, None], positions],
+            write_slots,
             slots,
-            causal_mask[positions][:, None],
+            causal_mask[positions],
         )
 
     def _slot_map(
@@ -489,7 +557,7 @@ class PagedKVCache:
         """Allocate the K/V pools from the first key tensor's geometry."""
         if self._keys is not None:
             return
-        heads, d_head = template.shape[1], template.shape[3]
+        heads, d_head = template.shape[-2], template.shape[-1]
         slots = (self.num_blocks + 1) * self.block_size
         shape = (self.n_layers, slots, heads, d_head)
         self._keys = np.zeros(shape, dtype=template.dtype)
@@ -499,22 +567,22 @@ class PagedKVCache:
         self,
         layer: int,
         seq_ids: Sequence[Hashable],
+        steps: Sequence[int],
         slots: np.ndarray,
         k: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """Store ``(rows, heads, steps, d_head)`` keys/values at reserved
-        ``(rows, steps)`` slots (:attr:`CachePlan.write_slots`).
+        """Store packed ``(tokens, heads, d_head)`` keys/values at reserved
+        ``(tokens,)`` slots (:attr:`CachePlan.write_slots`).
 
-        One fancy-index write per pool for all rows; each row's length at
-        ``layer`` advances by ``steps``.
+        One fancy-index write per pool for all rows; row ``b``'s length at
+        ``layer`` advances by ``steps[b]``.
         """
         self._ensure_pools(k)
-        self._keys[layer][slots] = k.transpose(0, 2, 1, 3)
-        self._values[layer][slots] = v.transpose(0, 2, 1, 3)
-        steps = slots.shape[1]
-        for seq_id in seq_ids:
-            self._lengths[seq_id][layer] += steps
+        self._keys[layer][slots] = k
+        self._values[layer][slots] = v
+        for seq_id, n in zip(seq_ids, steps):
+            self._lengths[seq_id][layer] += n
 
     def read(
         self, layer: int, slots: np.ndarray
@@ -555,8 +623,11 @@ class PagedKVCache:
         start = self._lengths[seq_id][layer]
         end = start + k.shape[2]
         self.reserve(seq_id, end)
-        slots = self._slot_map((seq_id,), end)[:, start:]
-        self.write(layer, (seq_id,), slots, k, v)
+        slots = self._slot_map((seq_id,), end)[0, start:]
+        self.write(
+            layer, (seq_id,), (k.shape[2],), slots,
+            k[0].transpose(1, 0, 2), v[0].transpose(1, 0, 2),
+        )
         return self.gather(layer, seq_id)
 
     def gather(

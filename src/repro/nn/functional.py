@@ -52,9 +52,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ``x >= 0`` and ``z/(1+z)`` elsewhere, as one divide of the selected
     numerator.  With ``z`` in ``[0, 1]``, ``maximum(z, x >= 0)`` selects
     ``1`` or ``z`` exactly as ``where(x >= 0, 1, z)`` does (NaN
-    propagates), without ``np.where``'s generic scalar loop.
+    propagates), without ``np.where``'s generic scalar loop.  A float
+    array's ``abs``, negation and exponential share one buffer: the same
+    IEEE operations, one temporary where there were three.
     """
-    z = np.exp(-np.abs(x))
+    # Integer input and scalars take fresh results, as np.exp gives them.
+    buffer = (
+        np.empty_like(x)
+        if isinstance(x, np.ndarray) and x.dtype.kind == "f"
+        else None
+    )
+    z = np.exp(np.negative(np.abs(x, out=buffer), out=buffer), out=buffer)
     out = np.maximum(z, x >= 0.0)
     z += 1.0
     out /= z

@@ -10,6 +10,7 @@ from repro.autograd import Tensor, ops
 from repro.nn import functional as F
 from repro.nn.attention import (
     AttentionCapture,
+    CachePlan,
     MultiHeadAttention,
     PagedKVCache,
 )
@@ -51,6 +52,17 @@ class SwiGLU(Module):
         gate = F.silu(self.gate_proj.forward_array(x))
         gate *= self.up_proj.forward_array(x)
         return self.down_proj.forward_array(gate)
+
+    def forward_cached(self, x: np.ndarray, plan: CachePlan) -> np.ndarray:
+        """:meth:`forward_array` over a cached call's packed tokens.
+
+        Each projection runs per row group (:meth:`CachePlan.rowwise`), as
+        each row's own call would run it; the gating runs once over all
+        tokens.
+        """
+        gate = F.silu(plan.rowwise(self.gate_proj.forward_array, x))
+        gate *= plan.rowwise(self.up_proj.forward_array, x)
+        return plan.rowwise(self.down_proj.forward_array, gate)
 
 
 class TransformerBlock(Module):
@@ -135,10 +147,7 @@ class LlamaModel(Module):
         x = self.embed.weight.data[ids]
         for block in self.blocks:
             x = block.forward_array(x)
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            return self.lm_head.forward_array(x)
-        return x @ self.embed.weight.data.T
+        return self._head(self.final_norm.forward_array(x))
 
     # ------------------------------------------------------------------
     def hidden_states(self, ids: np.ndarray) -> list[np.ndarray]:
@@ -181,50 +190,82 @@ class LlamaModel(Module):
 
     def forward_cached(
         self,
-        ids: np.ndarray,
+        ids: np.ndarray | Sequence[np.ndarray],
         cache: PagedKVCache,
         seq_ids: Sequence[Hashable],
     ) -> np.ndarray:
-        """Feed ``(batch, seq)`` new tokens through the KV cache.
+        """Feed new tokens through the KV cache; next-token logits per row.
 
-        Row ``b`` extends sequence ``seq_ids[b]`` of ``cache`` from its
-        committed length; rows may sit at different lengths.  Returns
-        next-token logits ``(batch, vocab)`` and leaves every row's tokens
-        cached.  One call covers a prompt prefill (``seq > 1``) and a
-        batched decode step (``seq == 1``) alike.  The call is planned once
+        ``ids`` is a ``(batch, seq)`` array or one 1-D token array per
+        row, rows of any lengths.  Row ``b`` extends sequence
+        ``seq_ids[b]`` of ``cache`` from its committed length; rows may sit
+        at different lengths.  Returns ``(rows, vocab)`` logits, the last
+        new token's of each row, and leaves every row's tokens cached.
+
+        One call serves prompt prefills (rows of several tokens) and decode
+        steps (rows of one token) together.  It is planned once
         (:meth:`PagedKVCache.plan`): every row's blocks are reserved before
         the first write, all or nothing, and each layer then runs one K/V
-        write and one gather for all rows.  A decode step attends every row
-        over the full ``max_seq_len`` context, masked to its own length
-        (O(``max_seq_len``) per decoded token); a prefill attends each row
-        over exactly its own keys.  Every layer is row-independent, so row
-        ``b`` is bit-identical to the same call on a batch of one — the
-        property the serving layer's replay-after-crash determinism rests
-        on; on a fresh cache a prefill's arithmetic is identical to
-        :meth:`forward_array`.  Feeding past ``max_seq_len`` total tokens
-        is rejected (sliding-window decoding is :meth:`generate`).
+        write for all rows.  Token-wise work (embedding, RMSNorm, RoPE,
+        residuals, the SwiGLU gating) runs once over all new tokens packed
+        together.  Each matrix product runs as the row's own call would run
+        it: one ``(n, 1, d)`` product over the ``n`` one-token rows and one
+        ``(L, d)`` product per longer row, the LM head included (full
+        length for a prefill row).  The one-token rows attend as one
+        stacked decode over the full ``max_seq_len`` context, each masked
+        to its own length (O(``max_seq_len``) per decoded token); every
+        longer row attends over exactly its own keys.
+
+        So row ``b``'s logits and cached keys/values are bit-identical to
+        the same row fed alone — whatever its company, the order of rows
+        or the packing — the property the serving layer's
+        replay-after-crash determinism rests on; on a fresh cache a
+        prefill's arithmetic is identical to :meth:`forward_array`.
+        Feeding past ``max_seq_len`` total tokens is rejected
+        (sliding-window decoding is :meth:`generate`).
         """
-        ids = np.atleast_2d(np.asarray(ids))
-        if ids.shape[1] == 0:
+        if isinstance(ids, np.ndarray):
+            ids = np.atleast_2d(ids)
+            rows, steps = None, [ids.shape[1]] * ids.shape[0]
+        else:
+            rows = [np.asarray(row).reshape(-1) for row in ids]
+            steps = [row.size for row in rows]
+        if not steps or min(steps) == 0:
             raise ValueError("ids must contain at least one token per row")
-        if len(seq_ids) != ids.shape[0]:
+        if len(seq_ids) != len(steps):
             raise ValueError("seq_ids must provide one sequence per row")
+        order = None
+        if rows is None:
+            tokens = ids.reshape(-1)  # rows of one length: in plan order
+        else:
+            # One-token rows lead, in order: the plan decodes them as one
+            # stack.
+            order = sorted(range(len(rows)), key=lambda b: steps[b] > 1)
+            steps = [steps[b] for b in order]
+            seq_ids = [seq_ids[b] for b in order]
+            tokens = np.concatenate([rows[b] for b in order])
         plan = cache.plan(
-            seq_ids, ids.shape[1], self.blocks[0].self_attn.causal_mask
+            seq_ids, steps, self.blocks[0].self_attn.causal_mask
         )
-        x = self.embed.weight.data[ids]
+        # Packed new tokens, each a row of one: (tokens, 1, d_model).
+        x = self.embed.weight.data[tokens[:, None]]
         for layer, block in enumerate(self.blocks):
             normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_cached(normed, cache, layer, plan)
-            x = x + block.mlp.forward_array(
-                block.post_attn_norm.forward_array(x)
+            x += block.self_attn.forward_cached(normed, cache, layer, plan)
+            x += block.mlp.forward_cached(
+                block.post_attn_norm.forward_array(x), plan
             )
         x = self.final_norm.forward_array(x)
+        # The head runs per row group too; each row keeps its last token.
+        heads = [self._head(x[view])[:, -1] for view in plan.views]
+        logits = heads[0] if len(heads) == 1 else np.concatenate(heads)
+        return logits if order is None else logits[np.argsort(order)]
+
+    def _head(self, x: np.ndarray) -> np.ndarray:
+        """Output projection: ``lm_head`` or the tied embedding."""
         if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
+            return self.lm_head.forward_array(x)
+        return x @ self.embed.weight.data.T
 
     def generate_cached(
         self,

@@ -1,11 +1,14 @@
 """Decode workers: the compute half of the serving layer.
 
 A worker owns a model plus a :class:`~repro.nn.attention.PagedKVCache`
-and exposes four operations — ``prefill``, ``decode``, ``release``,
-``stats`` — all returning plain values (logits arrays, dicts), never
-mutating scheduler state.  Sampling deliberately does *not* happen here:
-workers return logits and the scheduler samples, so all random state
-survives a worker crash and replay is deterministic.
+and exposes three operations — ``step``, ``release``, ``stats`` — all
+returning plain values (logits arrays, dicts), never mutating scheduler
+state.  ``step`` is one engine call: it prefills new sequences and
+decodes running ones in a single
+:meth:`~repro.nn.transformer.LlamaModel.forward_cached`; ``prefill`` and
+``decode`` are its one-kind shorthands.  Sampling deliberately does *not*
+happen here: workers return logits and the scheduler samples, so all
+random state survives a worker crash and replay is deterministic.
 
 Two implementations share that surface:
 
@@ -41,14 +44,13 @@ __all__ = ["ForkedEngineWorker", "InProcessWorker"]
 class InProcessWorker:
     """Model + paged KV cache living in the caller's process.
 
-    ``decode(entries)`` takes ``(seq_id, token, position)`` triples — one
-    per running sequence — and runs one batched ragged decode step, whose
-    plan reserves every row's KV blocks, all or nothing, *before* any
+    :meth:`step` runs one engine call over new and running sequences;
+    its plan reserves every row's KV blocks, all or nothing, *before* any
     compute (so :class:`~repro.runtime.errors.CacheExhausted` can never
-    leave a half-written step or a partial reservation).
-    It returns ``(logits, injected_delay)``; the delay is the value read
-    from the ``"slow-decode-step"`` fault site, which the scheduler applies
-    to its own clock.
+    leave a half-written call or a partial reservation).  It returns
+    ``(logits, injected_delay)``; the delay is the value read from the
+    ``"slow-decode-step"`` fault site, which the scheduler applies to its
+    own clock.
     """
 
     def __init__(
@@ -83,43 +85,69 @@ class InProcessWorker:
             raise
 
     # -- operations -------------------------------------------------------
-    def prefill(self, seq_id: str, tokens: np.ndarray) -> np.ndarray:
-        """Prefill a new sequence; returns next-token logits ``(vocab,)``.
+    def step(
+        self,
+        prefills: list[tuple[str, np.ndarray]],
+        decodes: list[tuple[str, int, int]],
+    ) -> tuple[np.ndarray, float]:
+        """One engine call: prefill new sequences, decode running ones.
 
-        All-or-nothing: on any failure the sequence's blocks are freed, so
-        a retried prefill starts from a clean cache.
+        ``prefills`` rows are ``(seq_id, tokens)`` for sequences new to the
+        cache; ``decodes`` rows are ``(seq_id, last_token, position)``
+        where ``position`` is the sequence's current cached length.  All
+        rows run as one
+        :meth:`~repro.nn.transformer.LlamaModel.forward_cached`, each
+        bit-identical to the same row fed alone.  Returns
+        ``(logits, injected_delay)`` with logits
+        ``(len(prefills) + len(decodes), vocab)``, prefill rows first.
+
+        Fault sites fire before any compute: crash/stall on
+        ``prefill:<seq_id>`` for every prefill row, then on ``decode:<n>``
+        for the ``n``-th call that carries decode rows, whose
+        ``"slow-decode-step"`` value is the delay.  All-or-nothing: on any
+        failure every sequence this call allocated is freed, so a retried
+        call starts from a clean cache.
         """
         self._guard()
-        self._fault_gate(f"prefill:{seq_id}")
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
-        self._cache.allocate(seq_id)
+        for seq_id, _ in prefills:
+            self._fault_gate(f"prefill:{seq_id}")
+        delay = 0.0
+        if decodes:
+            self._steps += 1
+            key = f"decode:{self._steps}"
+            self._fault_gate(key)
+            delay = faults.fault_value("slow-decode-step", key)
+        # A decode step's rows are one (rows, 1) array; prefills make the
+        # rows ragged.
+        ids = np.array([[token] for _, token, _ in decodes], dtype=np.int64)
+        if prefills:
+            ids = [
+                np.asarray(tokens, dtype=np.int64).reshape(-1)
+                for _, tokens in prefills
+            ] + list(ids)
+        seq_ids = [seq_id for seq_id, _ in prefills]
+        seq_ids += [seq_id for seq_id, _, _ in decodes]
+        allocated = []
         try:
-            logits = self._model.forward_cached(
-                tokens[None, :], self._cache, [seq_id]
-            )
+            for seq_id, _ in prefills:
+                self._cache.allocate(seq_id)
+                allocated.append(seq_id)
+            logits = self._model.forward_cached(ids, self._cache, seq_ids)
         except BaseException:
-            self._cache.free(seq_id)
+            for seq_id in allocated:
+                self._cache.free(seq_id)
             raise
-        return logits[0]
+        return logits, delay
+
+    def prefill(self, seq_id: str, tokens: np.ndarray) -> np.ndarray:
+        """:meth:`step` of one new sequence; its logits ``(vocab,)``."""
+        return self.step([(seq_id, tokens)], [])[0][0]
 
     def decode(
         self, entries: list[tuple[str, int, int]]
     ) -> tuple[np.ndarray, float]:
-        """One batched ragged decode step over running sequences.
-
-        ``entries`` rows are ``(seq_id, last_token, position)`` where
-        ``position`` is the sequence's current cached length.  Returns
-        ``(logits, injected_delay)`` with logits ``(batch, vocab)``.
-        """
-        self._guard()
-        self._steps += 1
-        key = f"decode:{self._steps}"
-        self._fault_gate(key)
-        delay = faults.fault_value("slow-decode-step", key)
-        seq_ids = [seq_id for seq_id, _, _ in entries]
-        ids = np.asarray([[token] for _, token, _ in entries], dtype=np.int64)
-        logits = self._model.forward_cached(ids, self._cache, seq_ids)
-        return logits, delay
+        """:meth:`step` of running sequences only (one decode step)."""
+        return self.step([], entries)
 
     def release(self, seq_id: str) -> int:
         """Free a finished/evicted sequence; returns blocks reclaimed."""
@@ -148,10 +176,8 @@ def _engine_handler(worker: InProcessWorker):
     def handle(message):
         """Dispatch one ``(op, *args)`` message to the worker."""
         op = message[0]
-        if op == "prefill":
-            return worker.prefill(message[1], message[2])
-        if op == "decode":
-            return worker.decode(message[1])
+        if op == "step":
+            return worker.step(message[1], message[2])
         if op == "release":
             return worker.release(message[1])
         if op == "stats":
@@ -190,17 +216,25 @@ class ForkedEngineWorker:
         """Whether the child process is still running."""
         return self._worker.alive()
 
+    def step(
+        self,
+        prefills: list[tuple[str, np.ndarray]],
+        decodes: list[tuple[str, int, int]],
+    ) -> tuple[np.ndarray, float]:
+        """Remote :meth:`InProcessWorker.step`."""
+        return self._worker.call(
+            ("step", prefills, decodes), timeout=self._timeout
+        )
+
     def prefill(self, seq_id: str, tokens: np.ndarray) -> np.ndarray:
         """Remote :meth:`InProcessWorker.prefill`."""
-        return self._worker.call(
-            ("prefill", seq_id, np.asarray(tokens)), timeout=self._timeout
-        )
+        return self.step([(seq_id, tokens)], [])[0][0]
 
     def decode(
         self, entries: list[tuple[str, int, int]]
     ) -> tuple[np.ndarray, float]:
         """Remote :meth:`InProcessWorker.decode`."""
-        return self._worker.call(("decode", entries), timeout=self._timeout)
+        return self.step([], entries)
 
     def release(self, seq_id: str) -> int:
         """Remote :meth:`InProcessWorker.release`."""

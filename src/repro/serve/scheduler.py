@@ -2,9 +2,10 @@
 
 :class:`ContinuousBatchScheduler` drives one supervised decode worker
 (:mod:`repro.serve.supervisor`) over a stream of generation requests.
-Requests of any length join and leave the running batch between decode
-steps (continuous batching over the paged KV cache); one call to :meth:`step`
-advances the whole system by at most one batched decode step.
+Requests of any length join and leave the running batch between steps
+(continuous batching over the paged KV cache); one call to :meth:`step`
+advances the whole system by at most one engine call, in which replays,
+admitted prompts and running sequences share one batched forward.
 
 Robustness contract (asserted end-to-end by the chaos suite):
 
@@ -29,7 +30,8 @@ Robustness contract (asserted end-to-end by the chaos suite):
   :class:`~repro.runtime.errors.WorkerFailure`.
 * **Preemption, never corruption.**  KV-pool exhaustion surfaces as
   :class:`~repro.runtime.errors.CacheExhausted` *before* any cache write;
-  the scheduler evicts a strictly lower-priority victim (to be replayed
+  the step's admissions yield first (back to the queue front), then the
+  scheduler evicts a strictly lower-priority victim (to be replayed
   later) and retries.  ``CacheExhausted`` is never a request failure.
 
 Every lifecycle event is journaled with the owning ``request_id``
@@ -91,6 +93,12 @@ class ServeConfig:
             raise ValueError("max_request_retries must be non-negative")
         if not 0.0 <= self.shed_queue_fraction <= 1.0:
             raise ValueError("shed_queue_fraction must be in [0, 1]")
+        # A threshold of 0 is met on every step: the batch would degrade
+        # (and shed queued work) or grow back without a single event.
+        if self.degrade_after_misses < 1:
+            raise ValueError("degrade_after_misses must be positive")
+        if self.recover_after_steps < 1:
+            raise ValueError("recover_after_steps must be positive")
 
 
 class _Tracked:
@@ -385,7 +393,11 @@ class ContinuousBatchScheduler:
         ]
         if not candidates:
             return False
-        victim = min(candidates, key=_Tracked.rank)
+        self._evict(min(candidates, key=_Tracked.rank), beneficiary)
+        return True
+
+    def _evict(self, victim: _Tracked, beneficiary: _Tracked) -> None:
+        """Free a cached sequence's blocks; it replays at a later step."""
         self.supervisor.release(victim.seq_id)
         victim.in_cache = False
         self.journal.record(
@@ -397,7 +409,6 @@ class ContinuousBatchScheduler:
             request_id=victim.seq_id,
             beneficiary=beneficiary.seq_id,
         )
-        return True
 
     def _on_worker_loss(self, in_flight: list[_Tracked]) -> None:
         """Handle a crashed/stalled worker: requeue everything for replay."""
@@ -415,20 +426,14 @@ class ContinuousBatchScheduler:
                     "failed",
                 )
 
-    def _prefill_sequence(
-        self, tracked: _Tracked, tokens: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Prefill with preemption-on-exhaustion; None when pool is tight."""
-        while True:
-            try:
-                return self.supervisor.prefill(tracked.seq_id, tokens)
-            except CacheExhausted:
-                if not self._preempt_victim(tracked):
-                    return None
+    def _requeue(self, tracked: _Tracked) -> None:
+        """Undo an admission: back to the front of the queue."""
+        self._active.remove(tracked)
+        self._queue.insert(0, tracked)
 
     # -- the engine loop ---------------------------------------------------
     async def step(self) -> bool:
-        """Advance the system by at most one batched decode step.
+        """Advance the system by at most one engine call.
 
         Returns True when any state changed (admissions, tokens, terminal
         transitions); False when there was nothing to do.
@@ -444,8 +449,7 @@ class ContinuousBatchScheduler:
         )
         self._reap_finished()
         self._overload_control()
-        worked = self._admit_and_rebuild()
-        worked = self._decode_once() or worked
+        worked = self._forward_once()
         self._reap_finished()
         after = (
             self._order,
@@ -455,98 +459,73 @@ class ContinuousBatchScheduler:
         )
         return worked or before != after
 
-    def _admit_and_rebuild(self) -> bool:
-        """Admit queued requests and replay evicted/crashed sequences."""
-        worked = False
-        # Replay first: evicted sequences already hold tokens and would
-        # otherwise starve behind a deep admission queue.
-        rebuilds = sorted(
-            (t for t in self._active if not t.in_cache),
-            key=_Tracked.rank,
-            reverse=True,
-        )
-        for tracked in rebuilds:
-            prior = np.concatenate(
-                [tracked.request.prompt, tracked.handle.tokens[:-1]]
-            ).astype(np.int64)
-            try:
-                logits = self._prefill_sequence(tracked, prior)
-            except (WorkerCrashed, WorkerStalled):
-                self._on_worker_loss([tracked])
-                return True
-            if logits is None:
-                continue  # pool tight; wait for completions
-            # The last logits row re-derives the already-sampled token;
-            # discard it — replay resumes at the decode step.
-            tracked.in_cache = True
-            tracked.position = prior.size
-            tracked.handle.state = "running"
-            self.journal.record(
-                "rebuild",
-                message=(
-                    f"replayed {prior.size} tokens onto fresh cache "
-                    f"(attempt {tracked.retries})"
-                ),
-                request_id=tracked.seq_id,
-                replayed_tokens=int(prior.size),
-            )
-            worked = True
+    def _forward_once(self) -> bool:
+        """One engine call over replays, admissions and running sequences.
+
+        The call holds at most ``effective_max_batch`` rows: the
+        best-ranked active requests — a cached one decodes its next token,
+        an evicted or crashed one replays its prompt plus all tokens but
+        the last (logits discarded; it decodes from the next step) — then
+        queued requests while the batch has room, each prefilling its
+        prompt and sampling its first token.  A just-admitted request
+        therefore gets its next token one step later.
+        """
+        rows = sorted(self._active, key=_Tracked.rank, reverse=True)
+        rows = rows[: self.effective_max_batch]
+        admitted = []
         while self._queue and len(self._active) < self.effective_max_batch:
             tracked = max(self._queue, key=_Tracked.rank)
             self._queue.remove(tracked)
             self._active.append(tracked)
+            admitted.append(tracked)
+        worked = bool(rows or admitted)
+        while rows or admitted:
+            replays = [t for t in rows if not t.in_cache]
+            running = [t for t in rows if t.in_cache]
+            replayed = [
+                np.concatenate(
+                    [t.request.prompt, t.handle.tokens[:-1]]
+                ).astype(np.int64)
+                for t in replays
+            ]
+            prefills = [(t.seq_id, ids) for t, ids in zip(replays, replayed)]
+            prefills += [(t.seq_id, t.request.prompt) for t in admitted]
+            decodes = [
+                (t.seq_id, t.handle.tokens[-1], t.position) for t in running
+            ]
             try:
-                logits = self._prefill_sequence(
-                    tracked, tracked.request.prompt
-                )
+                logits, delay = self.supervisor.step(prefills, decodes)
+            except CacheExhausted:
+                if admitted:
+                    # The worst-ranked admission yields first.
+                    self._requeue(admitted.pop())
+                elif not self._preempt_victim(rows[-1]):
+                    # Nothing cached ranks below the call: its worst row
+                    # waits for a later step.
+                    dropped = rows.pop()
+                    if dropped.in_cache and rows:
+                        self._evict(dropped, rows[0])
+                continue
             except (WorkerCrashed, WorkerStalled):
                 # Not admitted after all: back to the queue's front rank.
-                self._active.remove(tracked)
-                self._queue.insert(0, tracked)
-                self._on_worker_loss([tracked])
+                for tracked in reversed(admitted):
+                    self._requeue(tracked)
+                self._on_worker_loss(rows + admitted)
                 return True
-            if logits is None:
-                self._active.remove(tracked)
-                self._queue.insert(0, tracked)
-                break
-            tracked.in_cache = True
-            tracked.position = tracked.request.prompt.size
-            tracked.handle.state = "running"
-            self.journal.record(
-                "prefill",
-                message=f"prefilled {tracked.request.prompt.size} tokens",
-                request_id=tracked.seq_id,
-                prompt_tokens=int(tracked.request.prompt.size),
-            )
-            token = self._sample(tracked, logits)
-            tracked.handle._push_token(token)
-            if len(tracked.handle.tokens) >= tracked.request.max_new_tokens:
-                self._complete(tracked)
-            worked = True
+            self._commit(replays, replayed, admitted, running, logits, delay)
+            break
         return worked
 
-    def _decode_once(self) -> bool:
-        """Run one batched ragged decode step over cached sequences."""
-        batch = [t for t in self._active if t.in_cache]
-        batch = sorted(batch, key=_Tracked.rank, reverse=True)
-        batch = batch[: self.effective_max_batch]
-        if not batch:
-            return False
-        entries = [
-            (t.seq_id, t.handle.tokens[-1], t.position) for t in batch
-        ]
-        try:
-            logits, delay = self.supervisor.decode(entries)
-        except CacheExhausted:
-            if not self._preempt_victim(batch[0]):
-                # Sole sequence cannot exhaust a pool it passed admission
-                # for unless config shrank; evict it for replay later.
-                self.supervisor.release(batch[-1].seq_id)
-                batch[-1].in_cache = False
-            return True
-        except (WorkerCrashed, WorkerStalled):
-            self._on_worker_loss(batch)
-            return True
+    def _commit(
+        self,
+        replays: list[_Tracked],
+        replayed: list[np.ndarray],
+        admitted: list[_Tracked],
+        running: list[_Tracked],
+        logits: np.ndarray,
+        delay: float,
+    ) -> None:
+        """Apply one engine call's logits: prefill rows first, then decode."""
         self._steps += 1
         self._clean_steps += 1
         if delay > 0:
@@ -556,13 +535,40 @@ class ContinuousBatchScheduler:
                 message=f"decode step delayed {delay:.3f}s (injected)",
                 delay=delay,
             )
-        for row, tracked in enumerate(batch):
-            token = self._sample(tracked, logits[row])
+        for tracked, ids in zip(replays, replayed):
+            tracked.in_cache = True
+            tracked.position = ids.size
+            tracked.handle.state = "running"
+            self.journal.record(
+                "rebuild",
+                message=(
+                    f"replayed {ids.size} tokens onto fresh cache "
+                    f"(attempt {tracked.retries})"
+                ),
+                request_id=tracked.seq_id,
+                replayed_tokens=int(ids.size),
+            )
+        first_decode = len(replays) + len(admitted)
+        for tracked, row in zip(admitted, logits[len(replays) : first_decode]):
+            tracked.in_cache = True
+            tracked.position = tracked.request.prompt.size
+            tracked.handle.state = "running"
+            self.journal.record(
+                "prefill",
+                message=f"prefilled {tracked.request.prompt.size} tokens",
+                request_id=tracked.seq_id,
+                prompt_tokens=int(tracked.request.prompt.size),
+            )
+            self._emit(tracked, row)
+        for tracked, row in zip(running, logits[first_decode:]):
             tracked.position += 1
-            tracked.handle._push_token(token)
-            if len(tracked.handle.tokens) >= tracked.request.max_new_tokens:
-                self._complete(tracked)
-        return True
+            self._emit(tracked, row)
+
+    def _emit(self, tracked: _Tracked, row: np.ndarray) -> None:
+        """Sample and stream one token; complete the request when done."""
+        tracked.handle._push_token(self._sample(tracked, row))
+        if len(tracked.handle.tokens) >= tracked.request.max_new_tokens:
+            self._complete(tracked)
 
     # -- driving -----------------------------------------------------------
     async def run_until_idle(self, max_steps: int = 100000) -> int:

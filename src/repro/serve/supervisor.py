@@ -56,15 +56,13 @@ class WorkerSupervisor:
         return self._worker
 
     # -- supervised operations -------------------------------------------
-    def prefill(self, seq_id: str, tokens: np.ndarray) -> np.ndarray:
-        """Supervised worker ``prefill``."""
-        return self._call("prefill", lambda w: w.prefill(seq_id, tokens))
-
-    def decode(
-        self, entries: list[tuple[str, int, int]]
+    def step(
+        self,
+        prefills: list[tuple[str, np.ndarray]],
+        decodes: list[tuple[str, int, int]],
     ) -> tuple[np.ndarray, float]:
-        """Supervised worker ``decode``."""
-        return self._call("decode", lambda w: w.decode(entries))
+        """Supervised worker ``step`` (one engine call)."""
+        return self._call("step", lambda w: w.step(prefills, decodes))
 
     def release(self, seq_id: str) -> int:
         """Free a sequence; tolerates a dead worker (cache died with it)."""

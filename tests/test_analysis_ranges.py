@@ -402,6 +402,81 @@ class TestBitsSpecViolation:
         assert len(hits(diags, "wp-bits-spec-violation")) == 1
 
 
+def arange_fixture(call, declared):
+    """A function returning ``call`` under a declared ``return`` interval."""
+    return (
+        '"""Range fixture: np.arange bounds."""\n'
+        "import numpy as np\n"
+        "\n"
+        '__all__ = ["offsets"]\n'
+        "\n"
+        "\n"
+        "def offsets(step):\n"
+        '    """Offsets.\n'
+        "\n"
+        "    Bits:\n"
+        f"        return: i64{declared}\n"
+        '    """\n'
+        f"    return {call}\n"
+    )
+
+
+class TestArange:
+    """``np.arange`` is read as numpy reads it: ``arange(stop)``,
+    ``arange(start, stop[, step])``; only a known positive step bounds it."""
+
+    @pytest.mark.parametrize(
+        "call, inferred",
+        [
+            ("np.arange(16)", "[0, 15]"),
+            ("np.arange(4, 16)", "[4, 15]"),
+            ("np.arange(0, 256, 4)", "[0, 252]"),
+            ("np.arange(1, 256, 4)", "[1, 253]"),
+            ("np.arange(0, 256, step=4)", "[0, 252]"),
+        ],
+    )
+    def test_inferred_interval(self, tmp_path, call, inferred):
+        _, project = load(
+            tmp_path,
+            {
+                "repro/__init__.py": PKG,
+                "repro/steps.py": arange_fixture(call, "[0, 3]"),
+            },
+        )
+        assert f"return(inferred): {inferred}" in render_ranges(project)
+
+    @pytest.mark.parametrize(
+        "call, declared, fires",
+        [
+            # The stride is not the stop: 0..252 breaks a [0, 3] contract.
+            ("np.arange(0, 256, 4)", "[0, 3]", True),
+            ("np.arange(0, 256, 4)", "[0, 251]", True),
+            ("np.arange(0, 256, 4)", "[0, 252]", False),
+            # A negative step counts down: no finite bound, no false alarm.
+            ("np.arange(-10, -30, -5)", "[-25, -10]", False),
+            # An unknown step bounds nothing either.
+            ("np.arange(0, 256, step)", "[0, 3]", False),
+        ],
+    )
+    def test_contract_checked_against_strided_range(
+        self, tmp_path, call, declared, fires
+    ):
+        root, project = load(
+            tmp_path,
+            {
+                "repro/__init__.py": PKG,
+                "repro/steps.py": arange_fixture(call, declared),
+            },
+        )
+        expected = [
+            ("wp-bits-spec-violation", str(root / "repro" / "steps.py"), 13)
+        ]
+        diags = project.analyze(select=RULES)
+        assert hits(diags, "wp-bits-spec-violation") == (
+            expected if fires else []
+        )
+
+
 class TestJobsAndRendering:
     FILES = {
         "repro/__init__.py": PKG,

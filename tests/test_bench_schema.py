@@ -246,7 +246,9 @@ class TestLiveSmoke:
     def test_format_forward_live_smoke(self):
         # Shrunk size, loose bar: catches a lost bit-identity or a
         # de-memoised FormatLinear without re-proving committed numbers.
-        records = format_bench_records(repeats=1, size=96)
+        # Best of 3, as the committed records are timed: one reading can
+        # fall below the bar on a busy host.
+        records = format_bench_records(repeats=3, size=96)
         assert len(records) == len(
             {r["params"]["format"] for r in records}
         ), "duplicate format records"

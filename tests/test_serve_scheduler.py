@@ -250,6 +250,22 @@ class TestOverloadControl:
         assert high_sequence.size == 2 + 4  # high priority survived
 
 
+class TestServeConfigValidation:
+    @pytest.mark.parametrize(
+        "field", ["degrade_after_misses", "recover_after_steps"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_threshold_rejected(self, field, value):
+        # A threshold of 0 is met on every step: with no deadline missed
+        # the batch would still degrade and shed queued work.
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_threshold_of_one_accepted(self):
+        config = ServeConfig(degrade_after_misses=1, recover_after_steps=1)
+        assert config.degrade_after_misses == config.recover_after_steps == 1
+
+
 class TestJournalScoping:
     def test_per_request_timeline_reconstructs_lifecycle(self, model):
         async def main():

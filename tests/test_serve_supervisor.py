@@ -125,18 +125,18 @@ class TestForkedEngineWorker:
 
 
 class _FlakyWorker:
-    """Crashes on its first ``fail_first`` decode calls, then succeeds."""
+    """Crashes on its first ``fail_first`` engine calls, then succeeds."""
 
     failures = 0
 
     def __init__(self, fail_first):
         self._fail_first = fail_first
 
-    def decode(self, entries):
+    def step(self, prefills, decodes):
         if _FlakyWorker.failures < self._fail_first:
             _FlakyWorker.failures += 1
             raise WorkerCrashed("injected")
-        return np.zeros((len(entries), 4)), 0.0
+        return np.zeros((len(prefills) + len(decodes), 4)), 0.0
 
     def stats(self):
         return {"ok": 1}
@@ -158,11 +158,11 @@ class TestWorkerSupervisor:
         )
         for _ in range(2):
             with pytest.raises(WorkerCrashed):
-                supervisor.decode([("s", 0, 0)])
+                supervisor.step([], [("s", 0, 0)])
         # Two consecutive failures: 0.1s then 0.2s of backoff.
         assert clock.now() == pytest.approx(0.3)
         assert supervisor.restarts == 2
-        logits, delay = supervisor.decode([("s", 0, 0)])
+        logits, delay = supervisor.step([], [("s", 0, 0)])
         assert logits.shape == (1, 4) and delay == 0.0
         categories = [e.category for e in journal.health().events]
         assert categories.count("worker-crash") == 2
@@ -177,12 +177,12 @@ class TestWorkerSupervisor:
             backoff_base=0.1,
         )
         with pytest.raises(WorkerCrashed):
-            supervisor.decode([("s", 0, 0)])
-        supervisor.decode([("s", 0, 0)])  # success
+            supervisor.step([], [("s", 0, 0)])
+        supervisor.step([], [("s", 0, 0)])  # success
         _FlakyWorker.failures = 0  # make it flaky again
         supervisor._worker = _FlakyWorker(fail_first=1)
         with pytest.raises(WorkerCrashed):
-            supervisor.decode([("s", 0, 0)])
+            supervisor.step([], [("s", 0, 0)])
         # Streak restarted at 1: second backoff is the base again.
         assert clock.now() == pytest.approx(0.2)
 
@@ -197,7 +197,7 @@ class TestWorkerSupervisor:
         )
         for _ in range(6):
             with pytest.raises(WorkerCrashed):
-                supervisor.decode([("s", 0, 0)])
+                supervisor.step([], [("s", 0, 0)])
         # 0.1 + 0.2 + 0.25 * 4 (capped) = 1.3
         assert clock.now() == pytest.approx(1.3)
 

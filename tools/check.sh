@@ -28,11 +28,13 @@ python -m pytest -x -q tests/test_quant_formats.py \
 
 # test_nn_kvcache.py holds the decode-step contracts replay rests on:
 # fresh-cache prefill identity, company/geometry invariance, stale-block
-# isolation and all-or-nothing reservation.
+# isolation and all-or-nothing reservation; test_serve_engine_call.py
+# pins the one mixed prefill/decode call per scheduler step.
 echo "== serve chaos smoke (continuous batching under injected faults) =="
 python -m pytest -x -q tests/test_serve_chaos.py \
     tests/test_serve_scheduler.py tests/test_serve_supervisor.py \
-    tests/test_serve_paged_cache.py tests/test_nn_kvcache.py
+    tests/test_serve_paged_cache.py tests/test_nn_kvcache.py \
+    tests/test_serve_engine_call.py
 
 # Single-core VM timings swing up to ~20% run-to-run; 25% still catches a
 # genuinely de-optimized fast path (the gated records sit at 2-12x).
