@@ -11,7 +11,8 @@ Hessian trace (computed on the full-precision model) and the top fraction
 R of weights is kept at 4 bits, the rest dropped to 2 bits (Eq. (18)).
 
 Quantization proceeds block-by-block with calibration inputs recomputed on
-the partially quantized model, as in GPTQ.
+the partially quantized model, as in GPTQ, and every layer goes through the
+error-compensated int solver.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``): every solver call runs behind
 the numerical recovery ladder of :mod:`repro.runtime.recovery`, so a
@@ -52,7 +53,6 @@ from repro.core.sensitivity import LayerSensitivity, compute_sensitivities
 from repro.data.calibration import CalibrationSet
 from repro.nn.transformer import LlamaModel
 from repro.quant.calibration_hooks import collect_input_stats
-from repro.quant.formats import QuantFormat, QuantizedTensor, resolve_format
 from repro.quant.groupwise import GroupQuantResult
 from repro.quant.solver import HessianFactorCache, SolverResult
 from repro.runtime import faults
@@ -77,12 +77,6 @@ class APTQConfig:
     high_bits: int = 4
     low_bits: int = 2
     group_size: int | None = 32
-    # Storage format of the high-bit layers, by registry name
-    # (repro.quant.formats): "int" keeps the error-compensated solver for
-    # every layer; any other registered format (nf4, fp4, mx4, sparse24,
-    # ...) round-to-nearest-encodes the high-bit layers with that format
-    # while low-bit layers stay on the int solver path.
-    format: str = "int"
     percdamp: float = 0.01
     n_probes: int = 8
     batch_size: int = 16
@@ -93,17 +87,12 @@ class APTQConfig:
     # (repro.core.kron) — all heads share one input-Gram factorization,
     # trading a measured, bench-bounded accuracy delta for speed.
     hessian_mode: str = "probed"
-    # Recompute attention Hessians per block on the partially quantized
-    # model (sequential, the faithful protocol); False reuses the
-    # full-precision Hessians from the sensitivity pass (faster).
-    sequential: bool = True
     # Override the sensitivity-driven allocation with an explicit per-layer
-    # bit map (used by the manual block-wise ablation of Table 3).
+    # bit map (used by the manual block-wise ablation of Table 3): one int
+    # width in [1, 16] for every quantizable layer, and no other key.
     allocation_override: dict[str, int] | None = None
     # Fault tolerance: write an atomic per-block checkpoint here, and with
-    # resume=True continue an interrupted run from its first incomplete
-    # block (requires sequential=True; the full-precision Hessian cache of
-    # the non-sequential path is not checkpointed).
+    # resume=True continue an interrupted run from its first incomplete block.
     checkpoint_path: str | Path | None = None
     resume: bool = False
     # Recovery-ladder policy applied to every solver call.
@@ -124,12 +113,6 @@ class APTQResult:
     average_bits: float
     health: RunHealth = dataclasses.field(
         default_factory=lambda: RunHealth(events=())
-    )
-    # Layers encoded by a non-"int" APTQConfig.format: their exact
-    # QuantizedTensor payloads, disjoint from layer_results; feed to
-    # pack_model(format_results=...) for lossless deployment.
-    format_results: dict[str, QuantizedTensor] = dataclasses.field(
-        default_factory=dict
     )
 
 
@@ -351,22 +334,32 @@ def _try_resume(
     return _unpack_run_checkpoint(arrays, meta)
 
 
-def _format_encode(
-    layers: dict,
-    names: list[str],
-    fmt: QuantFormat,
-    config: APTQConfig,
-    format_results: dict[str, QuantizedTensor],
+def _check_allocation_override(
+    override: dict[str, int], layer_names: set[str]
 ) -> None:
-    """Round-to-nearest-encode ``names`` with ``fmt``, rewriting weights.
+    """Reject an override that names other layers or an invalid width.
 
-    Runs *after* a stage's Hessians were captured, so the sequential
-    protocol's ordering (measure, then rewrite) is preserved.
+    Runs before any work, so a bad map never leaves a half-quantized
+    model behind.
     """
-    for name in names:
-        tensor = fmt.encode(layers[name].weight.data, config.group_size)
-        layers[name].weight.data = fmt.decode(tensor)  # lint: disable=autograd-inplace-data
-        format_results[name] = tensor
+    missing = sorted(layer_names - set(override))
+    unknown = sorted(set(override) - layer_names)
+    if missing or unknown:
+        raise KeyError(
+            "allocation override must name exactly the quantizable "
+            f"layers; missing {missing}, unknown {unknown}"
+        )
+    invalid = {
+        name: bits
+        for name, bits in override.items()
+        if isinstance(bits, bool)
+        or not isinstance(bits, (int, np.integer))
+        or not 1 <= bits <= 16
+    }
+    if invalid:
+        raise ValueError(
+            f"allocation override widths must be ints in [1, 16]: {invalid}"
+        )
 
 
 def aptq_quantize_model(
@@ -375,7 +368,13 @@ def aptq_quantize_model(
     config: APTQConfig | None = None,
     **overrides,
 ) -> APTQResult:
-    """Quantize ``model`` in place with APTQ; returns the full run record."""
+    """Quantize ``model`` in place with APTQ; returns the full run record.
+
+    Every layer goes through the error-compensated int solver, block by
+    block on the partially quantized model.  An invalid ``hessian_mode``,
+    ``workers`` or ``allocation_override`` raises before any weight
+    changes.
+    """
     config = dataclasses.replace(config or APTQConfig(), **overrides)
     if config.hessian_mode not in HESSIAN_MODES:
         raise ValueError(
@@ -384,15 +383,9 @@ def aptq_quantize_model(
         )
     if config.workers < 0:
         raise ValueError(f"workers must be non-negative, got {config.workers}")
-    fmt: QuantFormat | None = None
-    if config.format != "int":
-        fmt = resolve_format(config.format)
-        if config.checkpoint_path is not None:
-            raise CheckpointError(
-                "per-block checkpoints only cover the int solver path; "
-                f"format {config.format!r} runs must drop checkpoint_path"
-            )
     layers = model.quantizable_linears()
+    if config.allocation_override is not None:
+        _check_allocation_override(config.allocation_override, set(layers))
     journal = RunJournal()
     # Q/K/V (and gate/up) Hessians are bit-identical after the shared-Gram
     # dedup, so their damped Cholesky factors are computed once per block.
@@ -404,12 +397,6 @@ def aptq_quantize_model(
 
     resumed = None
     if checkpoint_file is not None and config.resume:
-        if not config.sequential:
-            raise CheckpointError(
-                "resume requires sequential=True: the non-sequential path "
-                "depends on a full-precision Hessian cache that is not "
-                "checkpointed"
-            )
         resumed = _try_resume(checkpoint_file, fingerprint, journal)
 
     # ------------------------------------------------------------------
@@ -419,7 +406,6 @@ def aptq_quantize_model(
     # sensitivities, allocation, and partially quantized weights instead.
     # ------------------------------------------------------------------
     layer_results: dict[str, SolverResult]
-    format_results: dict[str, QuantizedTensor] = {}
     fp_hessian_cache: dict[int, AttentionHessians | KronAttentionHessians] = {}
     if resumed is not None:
         model_state, run_state, start_block = resumed
@@ -451,11 +437,6 @@ def aptq_quantize_model(
             workers=config.workers,
         )
         if config.allocation_override is not None:
-            missing = set(layers) - set(config.allocation_override)
-            if missing:
-                raise KeyError(
-                    f"allocation override misses layers {sorted(missing)}"
-                )
             allocation = dict(config.allocation_override)
         else:
             allocation = allocate_bits_by_sensitivity(
@@ -467,13 +448,13 @@ def aptq_quantize_model(
 
     # ------------------------------------------------------------------
     # Step 1: sequential Hessian-attention-based quantization.  One
-    # deferred capture stream serves every block's attention captures
-    # (sequential runs) and MLP input statistics (all runs): it caches
-    # each batch's running hidden state and re-runs only the
-    # just-quantized block when the next one is requested — bitwise
-    # identical to re-forwarding the model from the embedding (each cached
-    # state is computed with exactly the weights the full re-forward would
-    # have seen, since APTQ finishes a block before moving on).
+    # deferred capture stream serves every block's attention captures and
+    # MLP input statistics: it caches each batch's running hidden state
+    # and re-runs only the just-quantized block when the next one is
+    # requested — bitwise identical to re-forwarding the model from the
+    # embedding (each cached state is computed with exactly the weights
+    # the full re-forward would have seen, since APTQ finishes a block
+    # before moving on).
     # ------------------------------------------------------------------
     stream = CalibrationCaptureStream(
         model, calibration.segments, batch_size=config.batch_size
@@ -490,13 +471,12 @@ def aptq_quantize_model(
             if name.startswith(prefix) and name not in attention_names
         ]
 
-        # Non-sequential runs reuse the sensitivity pass's full-precision
-        # Hessians for every block, sequential runs for block 0: before it
-        # is quantized the model is the pass's model, with the same batches
+        # Block 0 reuses the sensitivity pass's Hessians: before it is
+        # quantized the model is the pass's model, with the same batches
         # and seed, so they are bit-identical to a fresh capture.  A
         # resumed run skipped the pass, and its cache is empty.
-        if not config.sequential or (block_index == 0 and fp_hessian_cache):
-            hessians = fp_hessian_cache[block_index]
+        if block_index == 0 and fp_hessian_cache:
+            hessians = fp_hessian_cache[0]
         else:
             captures = stream.block_captures(block_index)
             attn = model.blocks[block_index].self_attn
@@ -529,12 +509,8 @@ def aptq_quantize_model(
         # solves are independent: one solver stage.
         stage_tasks: list[SolverTask] = []
         spans: list[tuple[str, slice, bool]] = []
-        format_stage: list[str] = []
         for projection in _ATTENTION_PROJECTIONS:
             name = f"{prefix}self_attn.{projection}"
-            if fmt is not None and allocation[name] == config.high_bits:
-                format_stage.append(name)
-                continue
             tasks = _projection_tasks(
                 name,
                 layers[name].weight.data,
@@ -567,44 +543,31 @@ def aptq_quantize_model(
             # The APTQ core is a quantizer: weight rewrites are its output.
             linear.weight.data = result.quantized_weight  # lint: disable=autograd-inplace-data
             layer_results[name] = result
-        if fmt is not None:
-            _format_encode(layers, format_stage, fmt, config, format_results)
 
         if mlp_names:
-            format_mlp = [
-                name
+            stats = stream.block_input_stats(
+                block_index, {name: layers[name] for name in mlp_names}
+            )
+            mlp_tasks = [
+                SolverTask(
+                    key=name,
+                    weight=layers[name].weight.data,
+                    hessian=stats[name].normalised_hessian(),
+                    bits=allocation[name],
+                    group_size=config.group_size,
+                    percdamp=config.percdamp,
+                )
                 for name in mlp_names
-                if fmt is not None and allocation[name] == config.high_bits
             ]
-            solver_mlp = [
-                name for name in mlp_names if name not in format_mlp
-            ]
-            if solver_mlp:
-                stats = stream.block_input_stats(
-                    block_index, {name: layers[name] for name in solver_mlp}
-                )
-                mlp_tasks = [
-                    SolverTask(
-                        key=name,
-                        weight=layers[name].weight.data,
-                        hessian=stats[name].normalised_hessian(),
-                        bits=allocation[name],
-                        group_size=config.group_size,
-                        percdamp=config.percdamp,
-                    )
-                    for name in solver_mlp
-                ]
-                mlp_results = run_solver_tasks(
-                    mlp_tasks,
-                    policy=config.recovery,
-                    journal=journal,
-                    cache=factor_cache,
-                )
-                for name, result in zip(solver_mlp, mlp_results):
-                    layers[name].weight.data = result.quantized_weight  # lint: disable=autograd-inplace-data
-                    layer_results[name] = result
-            if fmt is not None:
-                _format_encode(layers, format_mlp, fmt, config, format_results)
+            mlp_results = run_solver_tasks(
+                mlp_tasks,
+                policy=config.recovery,
+                journal=journal,
+                cache=factor_cache,
+            )
+            for name, result in zip(mlp_names, mlp_results):
+                layers[name].weight.data = result.quantized_weight  # lint: disable=autograd-inplace-data
+                layer_results[name] = result
 
         if checkpoint_file is not None:
             journal.record(
@@ -625,19 +588,7 @@ def aptq_quantize_model(
             )
 
     # Any non-block layer (untied lm_head) quantizes with the GPTQ Hessian.
-    remaining = [
-        name
-        for name in layers
-        if name not in layer_results and name not in format_results
-    ]
-    format_tail = [
-        name
-        for name in remaining
-        if fmt is not None and allocation[name] == config.high_bits
-    ]
-    remaining = [name for name in remaining if name not in format_tail]
-    if fmt is not None:
-        _format_encode(layers, format_tail, fmt, config, format_results)
+    remaining = [name for name in layers if name not in layer_results]
     if remaining:
         stats = collect_input_stats(
             model,
@@ -683,11 +634,6 @@ def aptq_quantize_model(
                 journal,
             )
 
-    if fmt is not None:
-        # Storage-honest accounting: format-encoded layers occupy the
-        # format's code width, whatever high_bits requested.
-        for name in format_results:
-            allocation[name] = fmt.bits
     counts = {name: layers[name].weight.size for name in layers}
     return APTQResult(
         allocation=allocation,
@@ -695,5 +641,4 @@ def aptq_quantize_model(
         layer_results=layer_results,
         average_bits=average_bits(allocation, counts),
         health=journal.health(),
-        format_results=format_results,
     )

@@ -75,7 +75,6 @@ def apply_method(
     bits: int = 4,
     seed: int = 0,
     n_probes: int = 8,
-    sequential: bool = True,
     qat_steps: int = 60,
 ) -> AppliedMethod:
     """Apply the named method to ``model`` in place."""
@@ -99,7 +98,6 @@ def apply_method(
             calibration,
             bits=bits,
             group_size=group_size,
-            sequential=sequential,
         )
         return AppliedMethod(name=name, average_bits=float(bits), details=details)
     if key == "owq":
@@ -147,7 +145,6 @@ def apply_method(
                     group_size=group_size,
                     seed=seed,
                     n_probes=n_probes,
-                    sequential=sequential,
                 ),
             )
             return AppliedMethod(
@@ -162,7 +159,6 @@ def apply_method(
                     group_size=group_size,
                     seed=seed,
                     n_probes=n_probes,
-                    sequential=sequential,
                     allocation_override=allocation,
                 ),
             )

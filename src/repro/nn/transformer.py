@@ -17,13 +17,17 @@ from repro.nn.attention import (
 from repro.nn.config import LlamaConfig
 from repro.nn.modules import Embedding, Linear, Module, RMSNorm
 
-__all__ = ["SwiGLU", "TransformerBlock", "LlamaModel"]
+__all__ = ["sample_token", "SwiGLU", "TransformerBlock", "LlamaModel"]
 
 
-def _sample(
+def sample_token(
     logits: np.ndarray, temperature: float, rng: np.random.Generator
 ) -> int:
-    """Next token from a ``(vocab,)`` logit row; greedy at temperature 0."""
+    """Next token from a ``(vocab,)`` logit row; greedy at temperature 0.
+
+    The one sampler of generation and serving: the scheduler calls it so
+    served tokens equal ``generate_cached``'s.
+    """
     if temperature <= 0.0:
         return int(np.argmax(logits))
     probs = F.softmax(logits / temperature)
@@ -296,7 +300,7 @@ class LlamaModel(Module):
         ids = prompt[None, :]
         for _ in range(max_new_tokens):
             logits = self.forward_cached(ids, cache, [0])[0]
-            token = _sample(logits, temperature, rng)
+            token = sample_token(logits, temperature, rng)
             sequence.append(token)
             ids = np.array([[token]])
         return np.asarray(sequence, dtype=np.int64)
@@ -323,7 +327,7 @@ class LlamaModel(Module):
         for _ in range(max_new_tokens):
             window = np.asarray(sequence[-self.config.max_seq_len:])
             logits = self.forward_array(window[None, :])[0, -1]
-            sequence.append(_sample(logits, temperature, rng))
+            sequence.append(sample_token(logits, temperature, rng))
         return np.asarray(sequence, dtype=np.int64)
 
     def quantizable_linears(self) -> dict[str, Linear]:

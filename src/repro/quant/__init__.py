@@ -3,7 +3,8 @@
 Building blocks
 ---------------
 * :mod:`repro.quant.uniform` — affine uniform quantizer (scale/zero-point).
-* :mod:`repro.quant.groupwise` — group-wise quantization over input channels.
+* :mod:`repro.quant.groupwise` — group-wise quantization over input channels
+  and the min/max grid fit (``group_params``).
 * :mod:`repro.quant.packing` — dense bit-packing of integer codes.
 * :mod:`repro.quant.formats` — low-precision format registry (int-k, FP4,
   NF4, MX-style shared exponent, 2:4 sparse) behind one
@@ -26,13 +27,7 @@ Methods compared in the paper's tables
 * :mod:`repro.quant.llmqat` — LLM-QAT data-free quantization-aware training.
 """
 
-from repro.quant.uniform import (
-    QuantParams,
-    compute_params,
-    dequantize,
-    quantize,
-    quantize_dequantize,
-)
+from repro.quant.uniform import QuantParams, dequantize, quantize
 from repro.quant.groupwise import GroupQuantResult, quantize_groupwise
 from repro.quant.packing import pack_codes, unpack_codes
 from repro.quant.formats import (
@@ -74,10 +69,8 @@ from repro.quant.llmqat import llmqat_train
 
 __all__ = [
     "QuantParams",
-    "compute_params",
     "quantize",
     "dequantize",
-    "quantize_dequantize",
     "GroupQuantResult",
     "quantize_groupwise",
     "pack_codes",

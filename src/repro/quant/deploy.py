@@ -118,7 +118,6 @@ def pack_model(
     group_size: int | None = 32,
     layer_results: dict | None = None,
     format: str = "int",
-    format_results: dict | None = None,
 ) -> PackedModel:
     """Pack a (typically already fake-quantized) model for deployment.
 
@@ -133,11 +132,10 @@ def pack_model(
 
     ``format`` selects a registry entry from :mod:`repro.quant.formats`
     for the re-rounding path (``"int"`` is the affine int family at each
-    layer's ``bits``; any other name must be registered).
-    ``format_results`` (e.g. ``APTQResult.format_results``) supplies
-    already-encoded :class:`~repro.quant.formats.QuantizedTensor` payloads
-    whose exact codes are packed losslessly, analogous to
-    ``layer_results`` for the solver path.
+    layer's ``bits``; any other name must be registered).  Layers in
+    ``layer_results`` keep their solver payloads whatever ``format``
+    says, so one artifact can mix int solver layers with, e.g., ``nf4``
+    layers.
     """
     if format != "int":
         # Validate the name up front: unknown formats fail with the
@@ -146,12 +144,6 @@ def pack_model(
     quantizable = model.quantizable_linears()
     layers: dict[str, FormatLinear] = {}
     for name, linear in quantizable.items():
-        tensor = (format_results or {}).get(name)
-        if tensor is not None:
-            layers[name] = FormatLinear.from_tensor(
-                get_format(tensor.format), tensor
-            )
-            continue
         result = (layer_results or {}).get(name)
         if result is not None and result.permutation is None:
             fmt = IntFormat(result.group_result.bits)

@@ -1,8 +1,8 @@
 """Low-precision format zoo: a registry of quantized storage formats.
 
 A :class:`QuantFormat` registry of storage formats, so the deployment
-layer (:mod:`repro.quant.deploy`), the APTQ pipeline
-(``APTQConfig.format``) and the evaluation harness can select among:
+layer (:mod:`repro.quant.deploy`) and the evaluation harness can select
+among:
 
 * ``int2``/``int3``/``int4``/``int8`` — :class:`IntFormat`, uniform int-k
   codes on affine fp16 group grids (the solver's storage format; any

@@ -116,7 +116,6 @@ class GPTQConfig:
     group_size: int | None = 32
     percdamp: float = 0.01
     actorder: bool = False
-    sequential: bool = True
     batch_size: int = 16
 
 
@@ -126,7 +125,7 @@ def gptq_quantize_model(
     config: GPTQConfig | None = None,
     **overrides,
 ) -> dict[str, SolverResult]:
-    """Quantize every linear layer of ``model`` in place.
+    """Quantize every linear layer of ``model`` in place, block by block.
 
     ``config.bits`` may be an int or a per-layer mapping (mixed precision).
     Returns the per-layer solver results keyed by layer name.
@@ -135,13 +134,7 @@ def gptq_quantize_model(
     layers = model.quantizable_linears()
     results: dict[str, SolverResult] = {}
     factor_cache = HessianFactorCache()
-
-    if config.sequential:
-        layer_groups = group_layers_by_block(layers)
-    else:
-        layer_groups = [list(layers)]
-
-    for group in layer_groups:
+    for group in group_layers_by_block(layers):
         stats = collect_input_stats(
             model,
             calibration.segments,

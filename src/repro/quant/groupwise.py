@@ -90,7 +90,12 @@ class GroupQuantResult:
 def group_params(
     weight: np.ndarray, rows: slice, bits: int
 ) -> QuantParams:
-    """Min/max grid for one row-group, per output column."""
+    """Min/max grid for one row-group, per output column.
+
+    The range is widened to include zero (the GPTQ quantizer's
+    convention), so zero is exactly representable and a constant column
+    round-trips exactly.
+    """
     block = weight[rows]
     lo = np.minimum(block.min(axis=0), 0.0)
     hi = np.maximum(block.max(axis=0), 0.0)

@@ -14,8 +14,9 @@ import dataclasses
 
 import numpy as np
 
+from repro.quant.groupwise import group_params
 from repro.quant.solver import prepare_hessian
-from repro.quant.uniform import QuantParams, compute_params, dequantize, quantize
+from repro.quant.uniform import QuantParams, dequantize, quantize
 from repro.runtime.recovery import hessian_inverse
 
 __all__ = ["OBQResult", "obq_quantize_matrix"]
@@ -52,7 +53,7 @@ def obq_quantize_matrix(
         raise ValueError("hessian shape mismatch")
     hessian, dead = prepare_hessian(hessian, percdamp)
     base_inv = hessian_inverse(hessian)
-    params = compute_params(weight, bits, axis=1)
+    params = group_params(weight, slice(None), bits)
 
     quantized = np.empty_like(weight)
     codes = np.empty((d_in, d_out), dtype=np.int64)
@@ -64,7 +65,7 @@ def obq_quantize_matrix(
         inv = base_inv.copy()
         active = np.arange(d_in)
         col_params = QuantParams(
-            scale=params.scale[:, col], zero=params.zero[:, col], bits=bits
+            scale=params.scale[col], zero=params.zero[col], bits=bits
         )
         while active.size:
             w_active = w[active]

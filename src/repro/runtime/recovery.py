@@ -141,9 +141,7 @@ def robust_quantize_layer(
     hessian: np.ndarray,
     bits: int,
     group_size: int | None = None,
-    blocksize: int = 128,
     percdamp: float = 0.01,
-    actorder: bool = False,
     policy: Optional[RecoveryPolicy] = None,
     journal: Optional[RunJournal] = None,
     layer: str = "",
@@ -173,9 +171,7 @@ def robust_quantize_layer(
             matrix,
             bits=bits,
             group_size=group_size,
-            blocksize=blocksize,
             percdamp=damp,
-            actorder=actorder,
             cache=cache,
             hessian_scale=hessian_scale,
         )

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.nn import functional as F
+from repro.nn.transformer import sample_token
 from repro.runtime.errors import (
     AdmissionError,
     CacheExhausted,
@@ -297,14 +297,6 @@ class ContinuousBatchScheduler:
             tokens=len(tracked.handle.tokens),
             latency=round(tracked.handle.latency, 6),
         )
-
-    def _sample(self, tracked: _Tracked, row: np.ndarray) -> int:
-        """Sample the next token exactly as ``generate_cached`` would."""
-        request = tracked.request
-        if request.temperature <= 0.0:
-            return int(np.argmax(row))
-        probs = F.softmax(row / request.temperature)
-        return int(tracked.rng.choice(probs.size, p=probs))
 
     def _reap_finished(self) -> None:
         """Fail cancelled and deadline-expired requests (queued or active)."""
@@ -566,7 +558,9 @@ class ContinuousBatchScheduler:
 
     def _emit(self, tracked: _Tracked, row: np.ndarray) -> None:
         """Sample and stream one token; complete the request when done."""
-        tracked.handle._push_token(self._sample(tracked, row))
+        tracked.handle._push_token(
+            sample_token(row, tracked.request.temperature, tracked.rng)
+        )
         if len(tracked.handle.tokens) >= tracked.request.max_new_tokens:
             self._complete(tracked)
 

@@ -10,6 +10,23 @@ from repro.eval import perplexity
 from tests.conftest import clone
 
 
+@pytest.fixture
+def no_sensitivity_pass(monkeypatch):
+    """Fail the test if the run reaches the sensitivity pass."""
+
+    def sensitivity_pass(*args, **kwargs):
+        raise AssertionError("the sensitivity pass ran")
+
+    monkeypatch.setattr(aptq_module, "compute_sensitivities", sensitivity_pass)
+
+
+def assert_weights_unchanged(model, reference):
+    for name, array in reference.state_dict().items():
+        np.testing.assert_array_equal(
+            model.state_dict()[name], array, err_msg=name
+        )
+
+
 @pytest.fixture(scope="module")
 def aptq_result_and_model(trained_micro_model, calibration):
     model = clone(trained_micro_model)
@@ -100,17 +117,6 @@ class TestAPTQConfigs:
         )
         assert result.average_bits == pytest.approx(4.0)
 
-    def test_non_sequential_reuses_fp_hessians(
-        self, trained_micro_model, calibration
-    ):
-        model = clone(trained_micro_model)
-        result = aptq_quantize_model(
-            model, calibration,
-            APTQConfig(ratio_4bit=1.0, group_size=8, n_probes=2,
-                       sequential=False),
-        )
-        assert len(result.layer_results) == 14
-
     def test_allocation_override(self, trained_micro_model, calibration):
         model = clone(trained_micro_model)
         override = manual_blockwise_allocation(model, 0.5)
@@ -128,15 +134,39 @@ class TestAPTQConfigs:
                 APTQConfig(allocation_override={"blocks.0.mlp.up_proj": 4}),
             )
 
-    def test_negative_workers_rejected_before_any_work(
-        self, trained_micro_model, calibration, monkeypatch
+    def test_unknown_override_layer_rejected_before_any_work(
+        self, trained_micro_model, calibration, no_sensitivity_pass
     ):
-        def sensitivity_pass(*args, **kwargs):
-            raise AssertionError("the sensitivity pass ran")
+        model = clone(trained_micro_model)
+        override = manual_blockwise_allocation(model, 0.5)
+        override["blocks.9.mlp.up_proj"] = 4
+        with pytest.raises(KeyError, match="blocks.9.mlp.up_proj"):
+            aptq_quantize_model(
+                model, calibration,
+                APTQConfig(group_size=8, n_probes=2,
+                           allocation_override=override),
+            )
+        assert_weights_unchanged(model, trained_micro_model)
 
-        monkeypatch.setattr(
-            aptq_module, "compute_sensitivities", sensitivity_pass
-        )
+    @pytest.mark.parametrize("width", [0, 17, 4.0, True])
+    def test_override_width_rejected_before_any_work(
+        self, trained_micro_model, calibration, no_sensitivity_pass, width
+    ):
+        model = clone(trained_micro_model)
+        override = manual_blockwise_allocation(model, 0.5)
+        last = list(model.quantizable_linears())[-1]
+        override[last] = width
+        with pytest.raises(ValueError, match=last):
+            aptq_quantize_model(
+                model, calibration,
+                APTQConfig(group_size=8, n_probes=2,
+                           allocation_override=override),
+            )
+        assert_weights_unchanged(model, trained_micro_model)
+
+    def test_negative_workers_rejected_before_any_work(
+        self, trained_micro_model, calibration, no_sensitivity_pass
+    ):
         with pytest.raises(ValueError, match="workers"):
             aptq_quantize_model(
                 clone(trained_micro_model), calibration, APTQConfig(workers=-1)

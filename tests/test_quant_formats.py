@@ -36,7 +36,6 @@ from repro.quant.formats import (
 )
 from repro.quant.groupwise import group_of_row, quantize_groupwise
 from repro.quant.observer import PercentileObserver, get_observer
-from repro.runtime.errors import CheckpointError
 
 BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_quantize.json"
 
@@ -339,66 +338,52 @@ class TestEndToEnd:
         ppl = perplexity(loaded.to_model(), stream, seq_len=16)
         assert np.isfinite(ppl) and ppl > 0
 
-    def test_aptq_format_run_routes_high_bit_layers(self, tiny_setup, tmp_path):
+    def test_solver_int_and_nf4_layers_share_one_artifact(
+        self, tiny_setup, tmp_path
+    ):
+        # Layers with a solver result keep its exact int codes; the rest
+        # are encoded with the requested format, in one archive.
         config, calibration, stream = tiny_setup
-        model = LlamaModel(config, seed=13)
-        result = aptq_quantize_model(
-            model,
-            calibration,
-            APTQConfig(
-                ratio_4bit=0.5,
-                n_probes=2,
-                batch_size=4,
-                group_size=8,
-                format="nf4",
-            ),
-        )
-        assert result.format_results, "no layers took the format path"
-        assert result.layer_results, "low-bit layers must keep the solver"
-        assert not set(result.format_results) & set(result.layer_results)
-        assert all(
-            tensor.format == "nf4"
-            for tensor in result.format_results.values()
-        )
-        # Deployment packs the exact encoded payloads losslessly.
-        packed = pack_model(
-            model,
-            result.allocation,
-            group_size=8,
-            layer_results=result.layer_results,
-            format="nf4",
-            format_results=result.format_results,
-        )
-        for name, tensor in result.format_results.items():
-            layer = packed.layers[name]
-            assert isinstance(layer, FormatLinear)
-            assert_tensors_equal(
-                layer.format.unpack_payload(layer.arrays, layer.meta), tensor
-            )
-        loaded = PackedModel.load(packed.save(tmp_path / "aptq.npz"))
-        ppl = perplexity(loaded.to_model(), stream, seq_len=16)
-        assert np.isfinite(ppl) and ppl > 0
-
-    def test_format_run_rejects_checkpointing(self, tiny_setup, tmp_path):
-        config, calibration, _ = tiny_setup
-        with pytest.raises(CheckpointError, match="int solver path"):
-            aptq_quantize_model(
-                LlamaModel(config, seed=13),
-                calibration,
-                APTQConfig(
-                    format="nf4", checkpoint_path=tmp_path / "ckpt.npz"
-                ),
-            )
-
-    def test_int_format_default_leaves_legacy_path_untouched(self, tiny_setup):
-        config, calibration, _ = tiny_setup
         model = LlamaModel(config, seed=13)
         result = aptq_quantize_model(
             model,
             calibration,
             APTQConfig(ratio_4bit=0.5, n_probes=2, batch_size=4, group_size=8),
         )
-        assert result.format_results == {}
+        low_bit = {
+            name: solved
+            for name, solved in result.layer_results.items()
+            if solved.bits == 2
+        }
+        assert low_bit and set(low_bit) != set(result.layer_results)
+        packed = pack_model(
+            model,
+            result.allocation,
+            group_size=8,
+            layer_results=low_bit,
+            format="nf4",
+        )
+        nf4 = get_format("nf4")
+        linears = model.quantizable_linears()
+        for name, layer in packed.layers.items():
+            if name in low_bit:
+                expected = IntFormat(2).from_group_result(
+                    low_bit[name].group_result
+                )
+            else:
+                expected = nf4.encode(linears[name].weight.data, 8)
+            assert layer.format_name == expected.format
+            assert_tensors_equal(
+                layer.format.unpack_payload(layer.arrays, layer.meta), expected
+            )
+        loaded = PackedModel.load(packed.save(tmp_path / "mixed.npz"))
+        for name, layer in packed.layers.items():
+            assert loaded.layers[name].format_name == layer.format_name
+            assert np.array_equal(
+                loaded.layers[name].dequantize(), layer.dequantize()
+            )
+        ppl = perplexity(loaded.to_model(), stream, seq_len=16)
+        assert np.isfinite(ppl) and ppl > 0
 
 
 class TestDeployErrors:

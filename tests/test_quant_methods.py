@@ -7,7 +7,6 @@ import pytest
 from repro.quant.calibration_hooks import InputCollector, collect_input_stats
 from repro.quant.fpq import FP4_VALUES, fpq_quantize_model
 from repro.quant.gptq import (
-    GPTQConfig,
     gptq_quantize_model,
     group_layers_by_block,
     layer_block_index,
@@ -130,13 +129,6 @@ class TestGPTQ:
         model = clone(trained_micro_model)
         results = gptq_quantize_model(model, calibration, bits=4, group_size=8)
         assert set(results) == set(model.quantizable_linears())
-
-    def test_non_sequential_mode(self, trained_micro_model, calibration):
-        model = clone(trained_micro_model)
-        results = gptq_quantize_model(
-            model, calibration, config=GPTQConfig(sequential=False, group_size=8)
-        )
-        assert len(results) == 14
 
     def test_mixed_bits_dict(self, trained_micro_model, calibration):
         model = clone(trained_micro_model)

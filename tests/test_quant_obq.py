@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.quant.groupwise import quantize_groupwise
 from repro.quant.obq import _downdate_inverse, obq_quantize_matrix
 
 
@@ -26,12 +27,9 @@ class TestOBQ:
         return w, x, 2 * x.T @ x / 300
 
     def test_beats_rtn_on_objective(self, problem, rng):
-        from repro.quant.uniform import compute_params, quantize_dequantize
-
         w, x, h = problem
         result = obq_quantize_matrix(w, h, bits=3)
-        params = compute_params(w, 3, axis=1)
-        rtn = quantize_dequantize(w, params)
+        rtn = quantize_groupwise(w, 3, None).dequantize()
         err_obq = ((x @ w - x @ result.quantized_weight) ** 2).mean()
         err_rtn = ((x @ w - x @ rtn) ** 2).mean()
         assert err_obq <= err_rtn

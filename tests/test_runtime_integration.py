@@ -4,7 +4,8 @@ The contract proven here: an APTQ run that takes an injected Cholesky
 failure at block 0 and a simulated process crash at block 1 can be resumed
 from its on-disk checkpoint and produce **identical final quantized
 weights** to an uninterrupted run, with the RunHealth report listing the
-exact retry/fallback/resume events.
+exact retry/fallback/resume events.  It holds for both q/k Hessian
+engines (``hessian_mode`` "probed" and "kron").
 """
 
 import numpy as np
@@ -26,22 +27,29 @@ from tests.conftest import clone
 CONFIG_KWARGS = dict(ratio_4bit=0.75, group_size=8, n_probes=2, seed=0)
 
 
-@pytest.fixture(scope="module")
-def clean_run(trained_micro_model, calibration):
+@pytest.fixture(scope="class")
+def clean_run(trained_micro_model, calibration, hessian_mode):
     """Uninterrupted reference run (no checkpointing, no faults)."""
     model = clone(trained_micro_model)
     result = aptq_quantize_model(
-        model, calibration, APTQConfig(**CONFIG_KWARGS)
+        model,
+        calibration,
+        APTQConfig(hessian_mode=hessian_mode, **CONFIG_KWARGS),
     )
     return result, model
 
 
-@pytest.fixture(scope="module")
-def faulted_resumed_run(trained_micro_model, calibration, tmp_path_factory):
+@pytest.fixture(scope="class")
+def faulted_resumed_run(
+    trained_micro_model, calibration, hessian_mode, tmp_path_factory
+):
     """Fault-injected run (LinAlgError at block 0, crash at block 1) + resume."""
     checkpoint = tmp_path_factory.mktemp("runtime") / "aptq-run.npz"
     config = APTQConfig(
-        checkpoint_path=checkpoint, resume=True, **CONFIG_KWARGS
+        checkpoint_path=checkpoint,
+        resume=True,
+        hessian_mode=hessian_mode,
+        **CONFIG_KWARGS,
     )
     model = clone(trained_micro_model)
     injector = (
@@ -58,6 +66,12 @@ def faulted_resumed_run(trained_micro_model, calibration, tmp_path_factory):
 
 
 class TestFaultedResumeMatchesCleanRun:
+    """The contract with the probed q/k Hessians (the default engine)."""
+
+    @pytest.fixture(scope="class")
+    def hessian_mode(self):
+        return "probed"
+
     def test_identical_quantized_weights_per_layer(
         self, clean_run, faulted_resumed_run
     ):
@@ -119,17 +133,15 @@ class TestFaultedResumeMatchesCleanRun:
         assert "clean (no events)" in clean
 
 
-class TestResumeGuards:
-    def test_resume_requires_sequential(self, trained_micro_model, calibration,
-                                        tmp_path):
-        model = clone(trained_micro_model)
-        with pytest.raises(CheckpointError, match="sequential"):
-            aptq_quantize_model(
-                model, calibration,
-                APTQConfig(checkpoint_path=tmp_path / "run.npz", resume=True,
-                           sequential=False, **CONFIG_KWARGS),
-            )
+class TestFaultedResumeMatchesCleanRunKron(TestFaultedResumeMatchesCleanRun):
+    """The same contract and events with KronQ's q/k Hessians."""
 
+    @pytest.fixture(scope="class")
+    def hessian_mode(self):
+        return "kron"
+
+
+class TestResumeGuards:
     def test_fingerprint_mismatch_rejected(self, trained_micro_model,
                                            calibration, tmp_path):
         checkpoint = tmp_path / "foreign.npz"
