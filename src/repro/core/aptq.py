@@ -334,6 +334,34 @@ def _try_resume(
     return _unpack_run_checkpoint(arrays, meta)
 
 
+def _is_width(bits: object) -> bool:
+    """Whether ``bits`` is a bit-width: an int in [1, 16], not a bool."""
+    return (
+        not isinstance(bits, bool)
+        and isinstance(bits, (int, np.integer))
+        and 1 <= bits <= 16
+    )
+
+
+def _check_config(config: APTQConfig) -> None:
+    """Reject invalid knobs before any work, so no weight has changed."""
+    if config.hessian_mode not in HESSIAN_MODES:
+        raise ValueError(
+            f"unknown hessian_mode {config.hessian_mode!r}; expected one "
+            f"of {HESSIAN_MODES}"
+        )
+    if config.workers < 0:
+        raise ValueError(f"workers must be non-negative, got {config.workers}")
+    for knob in ("high_bits", "low_bits"):
+        bits = getattr(config, knob)
+        if not _is_width(bits):
+            raise ValueError(f"{knob} must be an int in [1, 16], got {bits!r}")
+    if not 0.0 <= config.ratio_4bit <= 1.0:
+        raise ValueError(
+            f"ratio_4bit must be in [0, 1], got {config.ratio_4bit!r}"
+        )
+
+
 def _check_allocation_override(
     override: dict[str, int], layer_names: set[str]
 ) -> None:
@@ -350,11 +378,7 @@ def _check_allocation_override(
             f"layers; missing {missing}, unknown {unknown}"
         )
     invalid = {
-        name: bits
-        for name, bits in override.items()
-        if isinstance(bits, bool)
-        or not isinstance(bits, (int, np.integer))
-        or not 1 <= bits <= 16
+        name: bits for name, bits in override.items() if not _is_width(bits)
     }
     if invalid:
         raise ValueError(
@@ -372,17 +396,11 @@ def aptq_quantize_model(
 
     Every layer goes through the error-compensated int solver, block by
     block on the partially quantized model.  An invalid ``hessian_mode``,
-    ``workers`` or ``allocation_override`` raises before any weight
-    changes.
+    ``workers``, ``high_bits``, ``low_bits``, ``ratio_4bit`` or
+    ``allocation_override`` raises before any weight changes.
     """
     config = dataclasses.replace(config or APTQConfig(), **overrides)
-    if config.hessian_mode not in HESSIAN_MODES:
-        raise ValueError(
-            f"unknown hessian_mode {config.hessian_mode!r}; expected one "
-            f"of {HESSIAN_MODES}"
-        )
-    if config.workers < 0:
-        raise ValueError(f"workers must be non-negative, got {config.workers}")
+    _check_config(config)
     layers = model.quantizable_linears()
     if config.allocation_override is not None:
         _check_allocation_override(config.allocation_override, set(layers))
@@ -446,6 +464,12 @@ def aptq_quantize_model(
                 low_bits=config.low_bits,
             )
 
+    # Only block 0 reuses its sensitivity-pass Hessians (below): every
+    # later block is recaptured on the partially quantized model, so the
+    # rest are dropped here instead of living through the whole run.
+    block0_hessians = fp_hessian_cache.pop(0, None)
+    fp_hessian_cache.clear()
+
     # ------------------------------------------------------------------
     # Step 1: sequential Hessian-attention-based quantization.  One
     # deferred capture stream serves every block's attention captures and
@@ -474,9 +498,9 @@ def aptq_quantize_model(
         # Block 0 reuses the sensitivity pass's Hessians: before it is
         # quantized the model is the pass's model, with the same batches
         # and seed, so they are bit-identical to a fresh capture.  A
-        # resumed run skipped the pass, and its cache is empty.
-        if block_index == 0 and fp_hessian_cache:
-            hessians = fp_hessian_cache[0]
+        # resumed run skipped the pass and has none.
+        if block_index == 0 and block0_hessians is not None:
+            hessians, block0_hessians = block0_hessians, None
         else:
             captures = stream.block_captures(block_index)
             attn = model.blocks[block_index].self_attn

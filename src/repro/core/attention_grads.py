@@ -80,17 +80,27 @@ def rope_adjoint(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return x * cos - rotated * sin
 
 
-def softmax_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of row-softmax: ``P ⊙ (U - rowsum(U ⊙ P))``."""
+def softmax_vjp(
+    probs: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vector-Jacobian product of row-softmax: ``P ⊙ (U - rowsum(U ⊙ P))``.
+
+    The difference and the product run in one buffer, ``out`` when given
+    (it may be ``upstream`` itself); the product commutes, so the result
+    is the same IEEE operations as ``probs * (upstream - inner)``.
+    """
     inner = (upstream * probs).sum(axis=-1, keepdims=True)
-    return probs * (upstream - inner)
+    out = np.subtract(upstream, inner, out=out)
+    out *= probs
+    return out
 
 
 def probe_chunks(capture: AttentionCapture, n_probes: int) -> list[slice]:
     """Consecutive probe ranges whose score temporaries fit the budget.
 
     The probe axis is only a stacking axis of the batched kernels, so any
-    split of it gives the same bits per probe.
+    split of it gives the same bits per probe.  The accumulators draw each
+    chunk's probes as it runs, so the probe stack never exceeds a chunk.
     """
     size = max(1, PROBE_CHUNK_BYTES // capture.probs.nbytes)
     return [
@@ -184,11 +194,12 @@ def attention_preactivation_gradients_batched(
     cos, sin = attn.rope.tables(s)
     if upstream_context is None:
         upstream_context = _batched_upstream_context(attn, seeds)
-    # d<F,S>/dP_h = upstream_context_h V_h^T, shape (p, b, h, s, s).
+    # d<F,S>/dP_h = upstream_context_h V_h^T, shape (p, b, h, s, s); the
+    # softmax adjoint overwrites this fresh buffer.
     upstream_probs = np.matmul(
         upstream_context, np.swapaxes(capture.v, -1, -2)
     )
-    omega = softmax_vjp(capture.probs, upstream_probs)
+    omega = softmax_vjp(capture.probs, upstream_probs, out=upstream_probs)
     # Through N = R(XW^Q) R(XW^K)^T / sqrt(d):
     # d<F,S>/dQ_rot = Omega K_rot / sqrt(d);  d<F,S>/dK_rot = Omega^T Q_rot.
     grad_q_rot = scale * np.matmul(omega, capture.k)

@@ -56,11 +56,11 @@ __all__ = [
 ]
 
 #: Probe-loop strategies for the q/k Gauss-Newton estimator.  ``batched``
-#: draws every Rademacher seed at once and runs the probe and head loops
-#: as stacked matmuls; ``reference`` is the original per-probe Python
-#: loop.  Both consume the *same* rng element stream (a single
-#: ``(p, b, s, D)`` draw fills row-major, so probe ``p``'s slice equals the
-#: ``p``-th sequential draw) and accumulate per-probe terms in the same
+#: draws each probe chunk's Rademacher seeds at once and runs the probe
+#: and head loops as stacked matmuls; ``reference`` is the original
+#: per-probe Python loop.  Both consume the *same* rng element stream (a
+#: ``(chunk, b, s, D)`` draw fills row-major, so probe ``p``'s slice equals
+#: the ``p``-th sequential draw) and accumulate per-probe terms in the same
 #: order, so they are bitwise interchangeable — pinned by the differential
 #: tests.
 PROBE_MODES = ("batched", "reference")
@@ -72,21 +72,22 @@ class SharedGramCache:
     The calibration Gram ``X^T X`` is the dominant cost of input-statistics
     collection, and several projections consume the *same* activation
     tensor — Q/K/V read the post-norm block input, gate/up read the MLP
-    input — so computing the Gram per layer repeats identical GEMMs.  This
-    cache keys on the identity of the activation array feeding a layer and
-    computes each distinct Gram once per calibration batch (call
-    :meth:`reset` at batch boundaries).
+    input — so computing the Gram per layer repeats identical GEMMs.  The
+    layers sharing an input run back to back, so the cache keeps one entry:
+    the most recent activation array and its Gram.  A hook on the same
+    array hits; any other array replaces the entry, so a calibration
+    forward pins one activation at a time, however deep the model.
 
     Reuse is bit-identical to recomputation: a hit returns the very array
     an independent ``flat.T @ flat`` on the same input would produce.  The
-    cache holds a reference to each keyed array so an ``id()`` can never be
-    recycled while its entry is alive.
+    entry holds a reference to its activation, so an ``id()`` can never be
+    recycled while the entry is alive.
     """
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._entry: tuple[np.ndarray, np.ndarray] | None = None
 
     def gram(self, source: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """``flat.T @ flat``, memoized by the identity of ``source``.
@@ -95,20 +96,19 @@ class SharedGramCache:
         ``flat`` is its 2-D ``(n_tokens, d_in)`` reshape (a view, so its
         own ``id`` is not stable across hooks).
         """
-        key = id(source)
-        entry = self._entries.get(key)
+        entry = self._entry
         if entry is not None and entry[0] is source:
             self.hits += 1
             return entry[1]
         self.misses += 1
         value = flat.T @ flat
         value.setflags(write=False)
-        self._entries[key] = (source, value)
+        self._entry = (source, value)
         return value
 
     def reset(self) -> None:
-        """Drop all entries (call between calibration batches)."""
-        self._entries.clear()
+        """Drop the entry (call between calibration batches)."""
+        self._entry = None
 
 
 @dataclasses.dataclass
@@ -188,9 +188,10 @@ def add_closed_forms(
     """Add one batch's exact o_proj and per-head v_proj Hessian sums.
 
     ``h_o += D · C^T C`` and ``h_v[h] += g_h · A_h^T A_h`` with
-    ``A_h = P_h X``, the effective per-head input of W_h^V; one stacked
-    ``(s, s) @ (s, D)`` matmul per (head, sequence) forms every ``A_h``.
-    Both Hessian engines share these closed forms.
+    ``A_h = P_h X``, the effective per-head input of W_h^V.  Each head's
+    ``A_h`` is formed inside the head loop, one ``(s, s) @ (s, D)`` matmul
+    per sequence, so only one head's ``(b, s, D)`` input is alive at a
+    time.  Both Hessian engines share these closed forms.
 
     Shapes:
         capture: any
@@ -201,10 +202,10 @@ def add_closed_forms(
     b, s, d_model = capture.x.shape
     heads_flat = capture.heads.reshape(b * s, d_model)
     h_o += d_model * (heads_flat.T @ heads_flat)
-    # (h, b, s, D): head-major, so each a[h] flattens without a copy.
-    a = np.matmul(capture.probs.transpose(1, 0, 2, 3), capture.x)
     for h, gain in enumerate(head_gain):
-        a_flat = a[h].reshape(b * s, d_model)
+        a_flat = np.matmul(capture.probs[:, h], capture.x).reshape(
+            b * s, d_model
+        )
         # Accumulation is per-block-local: parallel fan-out is per block,
         # so one worker owns this accumulator end to end.
         h_v[h] += gain * (a_flat.T @ a_flat)  # lint: disable=wp-order-dependent-reduction
@@ -216,12 +217,14 @@ class AttentionHessianAccumulator:
     Feed one :class:`AttentionCapture` per calibration batch via
     :meth:`add`, then :meth:`finalize` applies the per-token
     normalisation.  Both probe modes (see :data:`PROBE_MODES`) produce
-    bitwise-identical sums: the batched path draws all probes in one rng
-    call (same element stream as sequential draws), computes every probe's
-    q/k gradient through stacked matmuls whose per-probe slices run the
-    same GEMMs as the unbatched chain, and adds the per-probe outer products in
-    the original probe-ascending order per head (the per-head sequences
-    are independent, so hoisting the head loop is order-preserving).
+    bitwise-identical sums: the batched path draws each probe chunk's
+    seeds in one rng call as the chunk runs (same element stream as
+    sequential draws, and never more than a chunk of probes alive),
+    computes every probe's q/k gradient through stacked matmuls whose
+    per-probe slices run the same GEMMs as the unbatched chain, and adds
+    the per-probe outer products in the original probe-ascending order per
+    head (the per-head sequences are independent, so hoisting the head
+    loop is order-preserving).
     """
 
     def __init__(
@@ -270,15 +273,15 @@ class AttentionHessianAccumulator:
 
         # Probed Gauss-Newton for q/k (softmax nonlinearity).
         if self.probe_mode == "batched":
-            probes = self.rng.choice(
-                [-1.0, 1.0], size=(self.n_probes, b, s, d_model)
-            )
             # Only q/k are estimated here; they do not depend on the v/o
             # gradients, so those are never formed.  Chunks run in probe
             # order, so each head still adds its outer products ascending.
             for chunk in probe_chunks(capture, self.n_probes):
+                probes = self.rng.choice(
+                    [-1.0, 1.0], size=(chunk.stop - chunk.start, b, s, d_model)
+                )
                 gq_pre, gk_pre = attention_preactivation_gradients_batched(
-                    attn, capture, probes[chunk]
+                    attn, capture, probes
                 )
                 grads_q = contract_block_input(capture.x, gq_pre)
                 grads_k = contract_block_input(capture.x, gk_pre)
@@ -518,8 +521,8 @@ class CalibrationCaptureStream:
             for index, x in enumerate(inputs):
                 collector.current_batch = index
                 outputs.append(block.forward_array(x))
-                # Activation arrays are batch-local: reset the Gram cache
-                # so recycled object ids can never alias across batches.
+                # Activation arrays are batch-local: release the one the Gram
+                # cache pins, so it does not outlive its batch.
                 collector.gram_cache.reset()
             collector.current_batch = None
         if self.frozen:

@@ -142,11 +142,13 @@ class KronHessianAccumulator:
     """Streaming accumulator for one block's Kronecker-factored Hessians.
 
     Mirrors :class:`repro.core.hessian.AttentionHessianAccumulator` batch
-    for batch — identical rng consumption (one ``(p, b, s, D)`` Rademacher
-    draw per batch) and identical exact closed forms for ``v``/``o`` — but
-    replaces the q/k outer-product GEMMs with the input Gram (deduplicated
-    through a :class:`~repro.core.hessian.SharedGramCache`) and the small
-    ``(d, d)`` output-side factors.
+    for batch — identical rng consumption (one ``(chunk, b, s, D)``
+    Rademacher draw per probe chunk, as the chunk runs, so the batch's
+    element stream is that of one ``(p, b, s, D)`` draw) and identical
+    exact closed forms for ``v``/``o`` — but replaces the q/k outer-product
+    GEMMs with the input Gram (deduplicated through a
+    :class:`~repro.core.hessian.SharedGramCache`) and the small ``(d, d)``
+    output-side factors.
     """
 
     def __init__(
@@ -196,12 +198,12 @@ class KronHessianAccumulator:
 
         # Output-side factors B_h from the pre-input probe gradients —
         # the X contraction the Kronecker structure factors away.
-        probes = self.rng.choice(
-            [-1.0, 1.0], size=(self.n_probes, b, s, d_model)
-        )
         for chunk in probe_chunks(capture, self.n_probes):
+            probes = self.rng.choice(
+                [-1.0, 1.0], size=(chunk.stop - chunk.start, b, s, d_model)
+            )
             gq_pre, gk_pre = attention_preactivation_gradients_batched(
-                attn, capture, probes[chunk]
+                attn, capture, probes
             )
             # Per-block-local accumulation (one worker per block).
             self.b_q += _output_factor(gq_pre)  # lint: disable=wp-order-dependent-reduction

@@ -77,10 +77,11 @@ def compute_sensitivities(
     """Average Hessian trace of every quantizable layer.
 
     ``attention_cache``, if given, is filled with the per-block attention
-    Hessians so the quantization pass can reuse them instead of
-    recomputing.  ``hessian_mode`` selects the q/k engine (``"probed"`` —
-    exact estimator — or ``"kron"``, see :mod:`repro.core.kron`);
-    ``workers > 0`` accumulates block Hessians in forked worker processes
+    Hessians so a caller can reuse them instead of recomputing; without
+    it, the serial pass keeps no block's Hessians past that block.
+    ``hessian_mode`` selects the q/k engine (``"probed"`` — exact
+    estimator — or ``"kron"``, see :mod:`repro.core.kron`); ``workers >
+    0`` accumulates block Hessians in forked worker processes
     (bit-identical to serial).
     """
     if hessian_mode not in HESSIAN_MODES:
@@ -127,6 +128,19 @@ def compute_sensitivities(
             attn, captures, n_probes=n_probes, seed=seed + block_index
         )
 
+    def record(block_index: int, hessians) -> None:
+        """Cache one block's Hessians if asked, and rank its projections."""
+        if attention_cache is not None:
+            attention_cache[block_index] = hessians
+        for projection in _ATTENTION_PROJECTIONS:
+            name = f"blocks.{block_index}.self_attn.{projection}"
+            sensitivities[name] = LayerSensitivity(
+                name=name,
+                mean_trace=hessians.mean_trace(projection),
+                n_weights=layers[name].weight.size,
+                is_attention=True,
+            )
+
     n_blocks = len(model.blocks)
     if workers > 0 and n_blocks > 1:
         # Fan out per block: captures are drained first (the stream is
@@ -143,23 +157,15 @@ def compute_sensitivities(
             min_cost=MIN_PARALLEL_COST,
             label="block Hessians",
         )
+        for block_index, hessians in enumerate(per_block):
+            record(block_index, hessians)
     else:
         # Serial path streams block by block: captures of block ``i`` are
-        # released before block ``i+1``'s are materialised.
-        per_block = [
-            block_hessians(i, stream.block_captures(i))
-            for i in range(n_blocks)
-        ]
-
-    for block_index, hessians in enumerate(per_block):
-        if attention_cache is not None:
-            attention_cache[block_index] = hessians
-        for projection in _ATTENTION_PROJECTIONS:
-            name = f"blocks.{block_index}.self_attn.{projection}"
-            sensitivities[name] = LayerSensitivity(
-                name=name,
-                mean_trace=hessians.mean_trace(projection),
-                n_weights=layers[name].weight.size,
-                is_attention=True,
+        # released before block ``i+1``'s are materialised, and so are its
+        # Hessians unless the caller caches them.
+        for block_index in range(n_blocks):
+            record(
+                block_index,
+                block_hessians(block_index, stream.block_captures(block_index)),
             )
     return sensitivities

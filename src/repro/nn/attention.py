@@ -9,8 +9,8 @@ Three forward paths exist:
   the independent verification of the analytic APTQ derivatives);
 * :meth:`MultiHeadAttention.forward_array` — fast numpy inference path that
   can additionally *capture* every intermediate the APTQ Hessian
-  construction needs (Q, K, V, pre-softmax scores N, attention probs P,
-  concatenated head outputs C — cf. paper Eqs. (9)-(15));
+  construction reads (Q, K, V, attention probs P, concatenated head
+  outputs C — cf. paper Eqs. (9)-(15));
 * :meth:`MultiHeadAttention.forward_cached` — incremental decoding (prefill
   and decode steps, ragged batches included) over the one KV cache,
   :class:`PagedKVCache`.
@@ -60,26 +60,27 @@ class AttentionCapture:
     """Intermediates of one attention forward pass (numpy arrays).
 
     Shapes use ``b`` batch, ``h`` heads, ``s`` sequence, ``d`` head dim and
-    ``D = h*d`` model dim.  These are exactly the quantities appearing in the
-    paper's derivative formulas:
+    ``D = h*d`` model dim.  These are the quantities the paper's derivative
+    formulas read, and nothing else:
 
     - ``x``: layer input after RMSNorm, (b, s, D) — the paper's Q=K=V inputs.
     - ``q``/``k``: rotated per-head projections, (b, h, s, d).
     - ``v``: per-head value projections, (b, h, s, d).
-    - ``scores``: pre-softmax logits N_h = Q W^Q (W^K)^T K^T / sqrt(d), (b, h, s, s).
-    - ``probs``: softmax(scores) = P_h, (b, h, s, s).
+    - ``probs``: softmax of the pre-softmax logits N_h = Q_h K_h^T / sqrt(d)
+      (causally masked) = P_h, (b, h, s, s).
     - ``heads``: concatenated head outputs Concat(head_1..head_H), (b, s, D).
-    - ``output``: attention block output F = heads @ W^O, (b, s, D).
+
+    N_h is formed inside :meth:`MultiHeadAttention.forward_array` and not
+    kept (recompute it from ``q`` and ``k``), nor is the block output
+    ``heads @ W^O``, which the forward returns.
     """
 
     x: np.ndarray
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    scores: np.ndarray
     probs: np.ndarray
     heads: np.ndarray
-    output: np.ndarray
 
 
 class MultiHeadAttention(Module):
@@ -176,8 +177,7 @@ class MultiHeadAttention(Module):
         if not capture:
             return output
         return output, AttentionCapture(
-            x=x, q=q, k=k, v=v, scores=scores, probs=probs,
-            heads=heads, output=output,
+            x=x, q=q, k=k, v=v, probs=probs, heads=heads
         )
 
     # ------------------------------------------------------------------

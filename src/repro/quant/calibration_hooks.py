@@ -128,8 +128,8 @@ def collect_input_stats(
             screen_finite(batch, f"calibration batch {index}")
             collector.current_batch = index
             model.forward_array(batch)
-            # Activation arrays are batch-local: reset the Gram cache so
-            # recycled object ids can never alias across batches.
+            # Activation arrays are batch-local: release the one the Gram
+            # cache pins, so it does not outlive its batch.
             collector.gram_cache.reset()
         collector.current_batch = None
     return collector.stats

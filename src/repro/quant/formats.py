@@ -796,7 +796,10 @@ class FormatLinear:
     are kept.  ``x @ W`` is served from a memoised dense reconstruction
     keyed on a fingerprint of the payload: evaluation loops decode each
     layer once, and in-place mutation of the stored arrays invalidates
-    the cache.
+    the cache.  Only :meth:`forward_array` fills the memo:
+    :meth:`dequantize` decodes afresh on every call, so materialising a
+    model from a loaded artifact keeps no second dense copy of its
+    weights.
     """
 
     def __init__(
@@ -891,20 +894,22 @@ class FormatLinear:
         """Memoised read-only dense weight; rebuilt when storage mutates."""
         key = self._fingerprint()
         if self._dense_cache is None or self._dense_cache_key != key:
-            tensor = self.format.unpack_payload(self.arrays, self.meta)
-            dense = self.format.decode(tensor)
+            dense = self.dequantize()
             dense.setflags(write=False)
             self._dense_cache = dense
             self._dense_cache_key = key
         return self._dense_cache
 
     def dequantize(self) -> np.ndarray:
-        """Dense float64 weight reconstructed from storage (fresh copy).
+        """Dense float64 weight decoded from storage (a fresh array).
+
+        Leaves the memo of :meth:`forward_array` alone.
 
         Bits:
             return: f64
         """
-        return self._dense_weight().copy()
+        tensor = self.format.unpack_payload(self.arrays, self.meta)
+        return self.format.decode(tensor)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """``x @ W`` served from the memoised dense reconstruction.

@@ -1,5 +1,7 @@
 """End-to-end tests for the APTQ pipeline (Algorithm 1)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,73 @@ class TestAPTQConfigs:
                            allocation_override=override),
             )
         assert_weights_unchanged(model, trained_micro_model)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("high_bits", 0),
+            ("high_bits", 17),
+            ("high_bits", 4.0),
+            ("low_bits", 0),
+            ("low_bits", 17),
+            ("low_bits", True),
+            ("ratio_4bit", -0.1),
+            ("ratio_4bit", 1.5),
+            ("ratio_4bit", float("nan")),
+        ],
+    )
+    def test_invalid_width_or_ratio_rejected_before_any_work(
+        self, trained_micro_model, calibration, no_sensitivity_pass, knob,
+        value,
+    ):
+        # Checked before the sensitivity pass, as allocation_override is:
+        # a bad width used to raise only once block 0 had been rewritten.
+        model = clone(trained_micro_model)
+        with pytest.raises(ValueError, match=knob):
+            aptq_quantize_model(
+                model, calibration,
+                APTQConfig(group_size=8, n_probes=2, **{knob: value}),
+            )
+        assert_weights_unchanged(model, trained_micro_model)
+
+    @pytest.mark.parametrize("hessian_mode", ["probed", "kron"])
+    def test_only_block0_pass_hessians_outlive_the_pass(
+        self, trained_micro_model, calibration, monkeypatch, hessian_mode
+    ):
+        # Block 0 reuses its sensitivity-pass Hessians; every later block
+        # is recaptured on the partially quantized model, so the pass's
+        # Hessians of those blocks must be gone before that happens.
+        later_blocks = []
+        sensitivity_pass = aptq_module.compute_sensitivities
+
+        def spy_pass(*args, **kwargs):
+            result = sensitivity_pass(*args, **kwargs)
+            later_blocks.extend(
+                weakref.ref(hessians)
+                for block, hessians in kwargs["attention_cache"].items()
+                if block > 0
+            )
+            return result
+
+        alive = []
+        block_captures = aptq_module.CalibrationCaptureStream.block_captures
+
+        def spy_captures(stream, block_index):
+            if not stream.frozen:
+                alive.append([ref() is not None for ref in later_blocks])
+            return block_captures(stream, block_index)
+
+        monkeypatch.setattr(aptq_module, "compute_sensitivities", spy_pass)
+        monkeypatch.setattr(
+            aptq_module.CalibrationCaptureStream, "block_captures",
+            spy_captures,
+        )
+        aptq_quantize_model(
+            clone(trained_micro_model), calibration,
+            APTQConfig(group_size=8, n_probes=2, hessian_mode=hessian_mode),
+        )
+        assert len(later_blocks) == len(trained_micro_model.blocks) - 1
+        assert alive == [[False]]
 
     def test_negative_workers_rejected_before_any_work(
         self, trained_micro_model, calibration, no_sensitivity_pass

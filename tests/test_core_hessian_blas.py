@@ -9,7 +9,7 @@ catches any that come back.
 import numpy as np
 import pytest
 
-from repro.core import attention_grads
+from repro.core import attention_grads, kron
 from repro.core.hessian import (
     PROBE_MODES,
     AttentionHessianAccumulator,
@@ -77,3 +77,28 @@ def test_probe_chunking_keeps_batched_equal_to_reference(
             getattr(results["reference"], projection),
         ):
             assert np.array_equal(a, b)
+
+    # KronQ has no per-probe loop, and its output-side factor sums a whole
+    # chunk's rows in one GEMM, so its factors move with the chunking in
+    # the last bits.  What the chunking must not move are the per-probe
+    # pre-activation gradients, and so the probes drawn chunk by chunk:
+    # compare them against one chunk holding every probe.
+    original = kron.attention_preactivation_gradients_batched
+    gradients = []
+    for budget in (chunk_bytes, 1 << 40):
+        calls = []
+
+        def spy(*args, calls=calls):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(attention_grads, "PROBE_CHUNK_BYTES", budget)
+        monkeypatch.setattr(
+            kron, "attention_preactivation_gradients_batched", spy
+        )
+        KronHessianAccumulator(attn, n_probes=3, seed=4).add(capture)
+        gradients.append([np.concatenate(pair) for pair in zip(*calls)])
+    (chunked_q, chunked_k), (whole_q, whole_k) = gradients
+    assert chunked_q.shape[0] == 3
+    assert np.array_equal(chunked_q, whole_q)
+    assert np.array_equal(chunked_k, whole_k)

@@ -65,9 +65,11 @@ class TestCapture:
         assert cap.q.shape == (2, 3, 6, 4)
         assert cap.k.shape == (2, 3, 6, 4)
         assert cap.v.shape == (2, 3, 6, 4)
-        assert cap.scores.shape == (2, 3, 6, 6)
+        # N_h and the block output are not captured: both follow from
+        # what is (q, k and the head outputs).
+        assert (cap.q @ np.swapaxes(cap.k, -1, -2)).shape == (2, 3, 6, 6)
         assert cap.heads.shape == (2, 6, 12)
-        assert np.array_equal(cap.output, out)
+        assert np.array_equal(attn.o_proj.forward_array(cap.heads), out)
 
     def test_output_is_heads_times_o_proj(self, attn, rng):
         x = rng.normal(size=(1, 4, 12))

@@ -20,7 +20,7 @@ python -m pytest -x -q tests/test_runtime_recovery.py \
 echo "== differential + bench smoke (perf engine bit-identity) =="
 python -m pytest -x -q tests/test_quant_differential.py \
     tests/test_quant_golden.py tests/test_bench_schema.py \
-    tests/test_data_streams.py
+    tests/test_data_streams.py tests/test_core_working_set.py
 
 echo "== format conformance (registry zoo: round trip, pack, goldens) =="
 python -m pytest -x -q tests/test_quant_formats.py \
