@@ -156,7 +156,7 @@ class ModuleSummary:
         Every from-import target counts as a use; every reference through
         an import alias is rewritten to its fully-dotted form, and all
         prefixes longer than the module path are included so that
-        ``gq.group_layers_by_block()`` marks both the function and any
+        ``gq.gptq_quantize_model()`` marks both the function and any
         deeper attribute chain as used.
         """
         uses: set = set()

@@ -73,7 +73,9 @@ def _calibration_reforward(
     for loop in ast.walk(module.tree):
         if not isinstance(loop, (ast.For, ast.While)):
             continue
-        block_loop = isinstance(loop, ast.For) and "blocks" in ast.unparse(
+        # A loop over blocks names them in its iterable: ``model.blocks``,
+        # ``range(start_block, n)``, ``layers_by_block(names)``.
+        block_loop = isinstance(loop, ast.For) and "block" in ast.unparse(
             loop.iter
         )
         for node in astutil.walk_calls(loop):
@@ -91,7 +93,8 @@ def _calibration_reforward(
                     "capture_attention restarts at the embedding for every "
                     "(block, batch) pair — O(L^2) block forwards over a "
                     "calibration run; stream per-block captures through "
-                    "repro.core.hessian.CalibrationCaptureStream instead "
+                    "repro.quant.calibration_hooks.CalibrationCaptureStream "
+                    "instead "
                     "(bit-identical, one block forward per batch)",
                 )
             elif (
@@ -106,7 +109,7 @@ def _calibration_reforward(
                     "full-model forward inside a loop over blocks re-runs "
                     "the whole quantized prefix per block; cache the "
                     "running hidden states via "
-                    "repro.core.hessian.CalibrationCaptureStream",
+                    "repro.quant.calibration_hooks.CalibrationCaptureStream",
                 )
             elif block_loop and parts[-1] == "collect_input_stats":
                 # The same full-model forward, hidden behind the call.
@@ -116,7 +119,8 @@ def _calibration_reforward(
                     node,
                     "collect_input_stats forwards the whole model per "
                     "call, so inside a loop over blocks it re-runs the "
-                    "quantized prefix per block; collect one block's "
-                    "input statistics via repro.core.hessian."
-                    "CalibrationCaptureStream.block_input_stats",
+                    "quantized prefix per block; collect each block's "
+                    "input statistics via repro.quant.calibration_hooks."
+                    "sequential_input_stats (or CalibrationCaptureStream."
+                    "block_input_stats)",
                 )

@@ -164,8 +164,6 @@ def _save_run_checkpoint(
         arrays[prefix + "codes"] = result.group_result.codes
         arrays[prefix + "scales"] = result.group_result.scales
         arrays[prefix + "zeros"] = result.group_result.zeros
-        if result.permutation is not None:
-            arrays[prefix + "permutation"] = result.permutation
         layer_meta[name] = {
             "bits": result.group_result.bits,
             "group_size": result.group_result.group_size,
@@ -212,7 +210,6 @@ def _unpack_run_checkpoint(
             group_result=group,
             compensated_loss=float(record["compensated_loss"]),
             mse=float(record["mse"]),
-            permutation=arrays.get(prefix + "permutation"),
         )
     run_state = {
         "allocation": {k: int(v) for k, v in meta["allocation"].items()},

@@ -34,12 +34,12 @@ from repro.core.attention_grads import (
     contract_block_input,
     probe_chunks,
 )
-from repro.data.calibration import screen_finite
 from repro.nn.attention import AttentionCapture, MultiHeadAttention
-from repro.nn.modules import Linear
 from repro.nn.transformer import LlamaModel
-from repro.quant.calibration_hooks import InputCollector, InputStats
-from repro.runtime import faults
+from repro.quant.calibration_hooks import (
+    CalibrationCaptureStream,
+    SharedGramCache,
+)
 
 __all__ = [
     "AttentionHessians",
@@ -64,51 +64,6 @@ __all__ = [
 #: order, so they are bitwise interchangeable — pinned by the differential
 #: tests.
 PROBE_MODES = ("batched", "reference")
-
-
-class SharedGramCache:
-    """Deduplicates input Gram matrices across layers sharing one input.
-
-    The calibration Gram ``X^T X`` is the dominant cost of input-statistics
-    collection, and several projections consume the *same* activation
-    tensor — Q/K/V read the post-norm block input, gate/up read the MLP
-    input — so computing the Gram per layer repeats identical GEMMs.  The
-    layers sharing an input run back to back, so the cache keeps one entry:
-    the most recent activation array and its Gram.  A hook on the same
-    array hits; any other array replaces the entry, so a calibration
-    forward pins one activation at a time, however deep the model.
-
-    Reuse is bit-identical to recomputation: a hit returns the very array
-    an independent ``flat.T @ flat`` on the same input would produce.  The
-    entry holds a reference to its activation, so an ``id()`` can never be
-    recycled while the entry is alive.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._entry: tuple[np.ndarray, np.ndarray] | None = None
-
-    def gram(self, source: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """``flat.T @ flat``, memoized by the identity of ``source``.
-
-        ``source`` is the original activation array a hook observed;
-        ``flat`` is its 2-D ``(n_tokens, d_in)`` reshape (a view, so its
-        own ``id`` is not stable across hooks).
-        """
-        entry = self._entry
-        if entry is not None and entry[0] is source:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        value = flat.T @ flat
-        value.setflags(write=False)
-        self._entry = (source, value)
-        return value
-
-    def reset(self) -> None:
-        """Drop the entry (call between calibration batches)."""
-        self._entry = None
 
 
 @dataclasses.dataclass
@@ -373,164 +328,6 @@ def attention_hessians(
     return accumulator.finalize()
 
 
-class CalibrationCaptureStream:
-    """Single-pass capture of every block's intermediates per batch.
-
-    ``capture_attention(model, batch, i)`` restarts at the embedding for
-    every ``(block, batch)`` pair — O(L²) block forwards per batch over a
-    full calibration run.  The stream instead caches each batch's running
-    hidden state and advances it one block at a time, so the whole run
-    costs O(L) block forwards per batch.  Each batch is screened for
-    NaN/Inf where the stream first embeds it (an active
-    :class:`~repro.runtime.faults.FaultInjector` may poison it first), as
-    :func:`~repro.quant.calibration_hooks.collect_input_stats` does.
-
-    Two regimes:
-
-    * ``frozen=True`` — the model's weights will not change between
-      requests (the sensitivity pass).  A block's full forward output is
-      reused directly as the next block's input.
-    * ``frozen=False`` (default) — the sequential APTQ loop *quantizes*
-      block ``i`` after capturing it and before requesting block ``i+1``.
-      The stream therefore defers advancing past block ``i`` until block
-      ``i+1`` is requested, at which point it re-runs only block ``i``'s
-      forward with the then-current (quantized) weights.  Because APTQ
-      finishes each block before moving on and never revisits one, every
-      cached hidden state is computed with exactly the weights the legacy
-      per-block re-forward would have seen — bitwise identical captures.
-      A capture needs only the block's attention half, so that is all a
-      deferred capture runs.
-
-    :meth:`block_input_stats` serves the same cached hidden states to an
-    :class:`~repro.quant.calibration_hooks.InputCollector`: block ``i``'s
-    layer-input statistics from one block forward per batch, instead of
-    a full-model forward.
-
-    Requests are forward-only: each asks for a block past the last one
-    requested, except that a block's statistics may follow its captures.
-    Skipped blocks are forwarded without capture (resume support).
-    """
-
-    def __init__(
-        self,
-        model: LlamaModel,
-        segments: np.ndarray,
-        batch_size: int = 16,
-        frozen: bool = False,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        segments = np.atleast_2d(np.asarray(segments))
-        if segments.shape[0] == 0:
-            raise ValueError("no calibration segments")
-        self.model = model
-        self.frozen = frozen
-        self._batches = [
-            segments[start : start + batch_size]
-            for start in range(0, segments.shape[0], batch_size)
-        ]
-        self._inputs: list[np.ndarray] | None = None
-        # Index of the first block whose forward has NOT yet been applied
-        # to the cached hidden states.
-        self._front = 0
-        # Block ``_front``'s output from a frozen stream's full forward;
-        # advancing past the block reuses it verbatim.
-        self._outputs: list[np.ndarray] | None = None
-        # Smallest block index the next capture / statistics request may
-        # ask for.
-        self._min_capture = 0
-        self._min_stats = 0
-
-    @property
-    def n_batches(self) -> int:
-        """Number of calibration batches the stream iterates per block."""
-        return len(self._batches)
-
-    def _embed(self) -> list[np.ndarray]:
-        """Screened embeddings of every calibration batch."""
-        inputs = []
-        for index, batch in enumerate(self._batches):
-            batch = faults.transform_batch(index, batch)
-            screen_finite(batch, f"calibration batch {index}")
-            inputs.append(self.model.embed.weight.data[batch])
-        return inputs
-
-    def _inputs_of(self, block_index: int, floor: int) -> list[np.ndarray]:
-        """Block ``block_index``'s cached inputs, advancing the stream."""
-        if not 0 <= block_index < len(self.model.blocks):
-            raise IndexError(f"block index {block_index} out of range")
-        if block_index < floor:
-            raise ValueError(
-                f"capture stream is forward-only: block {block_index} "
-                f"requested where block {floor} or later was due"
-            )
-        if self._inputs is None:
-            self._inputs = self._embed()
-        # Re-run the deferred (possibly re-quantized) prefix up to the
-        # requested block with the weights as they stand *now*.
-        while self._front < block_index:
-            if self._outputs is None:
-                block = self.model.blocks[self._front]
-                self._inputs = [block.forward_array(x) for x in self._inputs]
-            else:
-                self._inputs, self._outputs = self._outputs, None
-            self._front += 1
-        return self._inputs
-
-    def block_captures(self, block_index: int) -> list[AttentionCapture]:
-        """Per-batch captures of ``block_index``, advancing the stream."""
-        inputs = self._inputs_of(block_index, self._min_capture)
-        block = self.model.blocks[block_index]
-        captures: list[AttentionCapture] = []
-        if self.frozen:
-            # Immutable model: the capturing forward's output is the next
-            # block's input verbatim.
-            self._outputs = []
-            for x in inputs:
-                out, capture = block.forward_array(x, capture=True)
-                captures.append(capture)
-                self._outputs.append(out)
-        else:
-            # The next request re-runs this block with its quantized
-            # weights, so its output would be thrown away: run only the
-            # attention half the capture needs.
-            for x in inputs:
-                normed = block.input_norm.forward_array(x)
-                captures.append(
-                    block.self_attn.forward_array(normed, capture=True)[1]
-                )
-        self._min_capture = block_index + 1
-        self._min_stats = block_index
-        return captures
-
-    def block_input_stats(
-        self, block_index: int, layers: dict[str, Linear]
-    ) -> dict[str, InputStats]:
-        """Input statistics of ``layers`` (of block ``block_index``).
-
-        Runs only block ``block_index`` over the cached hidden states, with
-        an :class:`~repro.quant.calibration_hooks.InputCollector` on
-        ``layers`` — bitwise what
-        :func:`~repro.quant.calibration_hooks.collect_input_stats` gathers
-        from a full-model forward of the same batches.
-        """
-        inputs = self._inputs_of(block_index, self._min_stats)
-        block = self.model.blocks[block_index]
-        outputs = []
-        with InputCollector(layers) as collector:
-            for index, x in enumerate(inputs):
-                collector.current_batch = index
-                outputs.append(block.forward_array(x))
-                # Activation arrays are batch-local: release the one the Gram
-                # cache pins, so it does not outlive its batch.
-                collector.gram_cache.reset()
-            collector.current_batch = None
-        if self.frozen:
-            self._outputs = outputs
-        self._min_capture = self._min_stats = block_index + 1
-        return collector.stats
-
-
 def exact_gauss_newton(
     attn: MultiHeadAttention,
     capture,
@@ -553,8 +350,6 @@ def exact_gauss_newton(
     """
     if projection not in ("q_proj", "k_proj"):
         raise ValueError("exact enumeration provided for q/k projections")
-    from repro.core.attention_grads import attention_seeded_gradients
-
     b, s, d_model = capture.x.shape
     d_head = attn.d_head
     cols = slice(head * d_head, (head + 1) * d_head)

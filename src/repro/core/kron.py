@@ -147,8 +147,8 @@ class KronHessianAccumulator:
     element stream is that of one ``(p, b, s, D)`` draw) and identical
     exact closed forms for ``v``/``o`` — but replaces the q/k outer-product
     GEMMs with the input Gram (deduplicated through a
-    :class:`~repro.core.hessian.SharedGramCache`) and the small ``(d, d)``
-    output-side factors.
+    :class:`~repro.quant.calibration_hooks.SharedGramCache`) and the small
+    ``(d, d)`` output-side factors.
     """
 
     def __init__(

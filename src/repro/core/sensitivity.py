@@ -11,7 +11,7 @@ so layers of different widths are comparable.
 
 The sensitivity pass runs on the *frozen* full-precision model, so the
 attention captures stream through a single forward per calibration batch
-(:class:`~repro.core.hessian.CalibrationCaptureStream` with
+(:class:`~repro.quant.calibration_hooks.CalibrationCaptureStream` with
 ``frozen=True``) instead of one forward per ``(block, batch)`` pair, and
 the per-block Hessian accumulation can fan out over forked worker
 processes (``workers > 0``) — each block's estimator is independent and

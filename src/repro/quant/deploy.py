@@ -145,7 +145,7 @@ def pack_model(
     layers: dict[str, FormatLinear] = {}
     for name, linear in quantizable.items():
         result = (layer_results or {}).get(name)
-        if result is not None and result.permutation is None:
+        if result is not None:
             fmt = IntFormat(result.group_result.bits)
             layers[name] = FormatLinear.from_tensor(
                 fmt, fmt.from_group_result(result.group_result)

@@ -5,7 +5,8 @@ For each linear layer, the Hessian of the layer reconstruction objective
 solver (:mod:`repro.quant.solver`) then runs the Cholesky-reformulated OBQ
 sweep.  Layers are processed transformer-block by transformer-block, each
 block's calibration inputs computed with all *previous* blocks already
-quantized, matching the official implementation.
+quantized (:func:`~repro.quant.calibration_hooks.sequential_input_stats`),
+matching the official implementation.
 """
 
 from __future__ import annotations
@@ -17,58 +18,14 @@ import numpy as np
 from repro.data.calibration import CalibrationSet
 from repro.nn.modules import Linear
 from repro.nn.transformer import LlamaModel
-from repro.quant.calibration_hooks import collect_input_stats
+from repro.quant.calibration_hooks import sequential_input_stats
 from repro.quant.solver import (
     HessianFactorCache,
     SolverResult,
     quantize_with_hessian,
 )
 
-__all__ = [
-    "layer_block_index",
-    "group_layers_by_block",
-    "gptq_quantize_layer",
-    "GPTQConfig",
-    "gptq_quantize_model",
-]
-
-
-def layer_block_index(layer_name: str) -> int | None:
-    """Transformer block index of a layer name, None for e.g. ``lm_head``.
-
-    Bits:
-        return: i64[0, *]
-
-    Raises
-    ------
-    ValueError
-        If a ``blocks.``-prefixed name carries a non-integer block index
-        (e.g. ``blocks.attn.q_proj``), which would otherwise silently
-        scramble the sequential quantization order.
-    """
-    parts = layer_name.split(".")
-    if parts[0] == "blocks" and len(parts) > 1:
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"malformed layer name {layer_name!r}: expected an integer "
-                f"block index after 'blocks.', got {parts[1]!r}"
-            ) from None
-    return None
-
-
-def group_layers_by_block(layer_names) -> list[list[str]]:
-    """Partition layer names into per-block groups, in forward order."""
-    blocks: dict[int | None, list[str]] = {}
-    for name in layer_names:
-        blocks.setdefault(layer_block_index(name), []).append(name)
-    ordered: list[list[str]] = []
-    for key in sorted((k for k in blocks if k is not None)):
-        ordered.append(blocks[key])
-    if None in blocks:
-        ordered.append(blocks[None])
-    return ordered
+__all__ = ["gptq_quantize_layer", "GPTQConfig", "gptq_quantize_model"]
 
 
 def gptq_quantize_layer(
@@ -77,7 +34,6 @@ def gptq_quantize_layer(
     bits: int,
     group_size: int | None = None,
     percdamp: float = 0.01,
-    actorder: bool = False,
     cache: HessianFactorCache | None = None,
 ) -> SolverResult:
     """Quantize one layer in place with the GPTQ solver.
@@ -101,7 +57,6 @@ def gptq_quantize_layer(
         bits=bits,
         group_size=group_size,
         percdamp=percdamp,
-        actorder=actorder,
         cache=cache,
     )
     linear.weight.data = result.quantized_weight
@@ -115,7 +70,6 @@ class GPTQConfig:
     bits: int | dict[str, int] = 4
     group_size: int | None = 32
     percdamp: float = 0.01
-    actorder: bool = False
     batch_size: int = 16
 
 
@@ -134,13 +88,9 @@ def gptq_quantize_model(
     layers = model.quantizable_linears()
     results: dict[str, SolverResult] = {}
     factor_cache = HessianFactorCache()
-    for group in group_layers_by_block(layers):
-        stats = collect_input_stats(
-            model,
-            calibration.segments,
-            layer_names=group,
-            batch_size=config.batch_size,
-        )
+    for group, stats in sequential_input_stats(
+        model, calibration.segments, config.batch_size
+    ):
         for name in group:
             layer_bits = (
                 config.bits[name]
@@ -153,7 +103,6 @@ def gptq_quantize_model(
                 bits=layer_bits,
                 group_size=config.group_size,
                 percdamp=config.percdamp,
-                actorder=config.actorder,
                 cache=factor_cache,
             )
     return results

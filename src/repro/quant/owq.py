@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.data.calibration import CalibrationSet
 from repro.nn.transformer import LlamaModel
-from repro.quant.calibration_hooks import collect_input_stats
-from repro.quant.gptq import group_layers_by_block
+from repro.quant.calibration_hooks import sequential_input_stats
 from repro.quant.solver import SolverResult, quantize_with_hessian
 
 __all__ = ["OWQResult", "select_outlier_channels", "owq_quantize_model"]
@@ -69,11 +68,9 @@ def owq_quantize_model(
     """Quantize in place, keeping ``outlier_fraction`` of channels fp16."""
     results: dict[str, OWQResult] = {}
     layers = model.quantizable_linears()
-    for group in group_layers_by_block(layers):
-        stats = collect_input_stats(
-            model, calibration.segments, layer_names=group,
-            batch_size=batch_size,
-        )
+    for group, stats in sequential_input_stats(
+        model, calibration.segments, batch_size
+    ):
         for name in group:
             linear = layers[name]
             hessian = stats[name].normalised_hessian()

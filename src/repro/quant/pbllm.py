@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.data.calibration import CalibrationSet
 from repro.nn.transformer import LlamaModel
-from repro.quant.calibration_hooks import collect_input_stats
-from repro.quant.gptq import group_layers_by_block
+from repro.quant.calibration_hooks import sequential_input_stats
+from repro.quant.groupwise import resolve_group_size
 
 __all__ = ["PBLLMResult", "pbllm_average_bits", "pbllm_quantize_model"]
 
@@ -59,11 +59,9 @@ def pbllm_quantize_model(
         raise ValueError("salient_fraction must be in [0, 1)")
     results: dict[str, PBLLMResult] = {}
     layers = model.quantizable_linears()
-    for group in group_layers_by_block(layers):
-        stats = collect_input_stats(
-            model, calibration.segments, layer_names=group,
-            batch_size=batch_size,
-        )
+    for group, stats in sequential_input_stats(
+        model, calibration.segments, batch_size
+    ):
         for name in group:
             linear = layers[name]
             weight = linear.weight.data
@@ -76,7 +74,7 @@ def pbllm_quantize_model(
                 flat_order = np.argsort(-salience, axis=None, kind="stable")
                 mask.reshape(-1)[flat_order[:count]] = True
 
-            gsize = group_size if group_size and group_size < d_in else d_in
+            gsize = resolve_group_size(d_in, group_size)
             n_groups = (d_in + gsize - 1) // gsize
             magnitudes = np.zeros((n_groups, d_out))
             quantized = weight.copy()

@@ -38,12 +38,11 @@ because it sums error vectors whose trailing ulps depend on the schedule):
   product (a single BLAS GEMM instead of ``B`` full-width rank-1 passes).
 
 Both schedules quantize against **static group grids**: every group's
-scale/zero-point is fitted up front on the (dead-channel-zeroed, optionally
-permuted) original weights, exactly like GPTQ's ``--static-groups`` option.
-Static grids are what make the schedules bit-identical — a grid fitted on
-*compensated* weights would inherit the schedule's floating-point
-summation order through the group min/max — and they make ``actorder``
-grids independent of the sweep order, as the GPTQ authors note.
+scale/zero-point is fitted up front on the dead-channel-zeroed original
+weights, exactly like GPTQ's ``--static-groups`` option.  Static grids are
+what make the schedules bit-identical — a grid fitted on *compensated*
+weights would inherit the schedule's floating-point summation order
+through the group min/max.
 
 Repeated factorization of one Hessian (Q/K/V share their input Gram
 matrix; the recovery ladder re-attempts layers) is avoided by passing a
@@ -89,7 +88,6 @@ class SolverResult:
     group_result: GroupQuantResult
     compensated_loss: float
     mse: float
-    permutation: np.ndarray | None = None
 
     @property
     def bits(self) -> int:
@@ -149,30 +147,26 @@ def hessian_fingerprint(hessian: np.ndarray) -> str:
 class HessianFactor:
     """Everything :func:`quantize_with_hessian` derives from the Hessian.
 
-    ``inv_upper`` is the upper Cholesky factor of the damped
-    ``H^{-1}`` (permuted when ``permutation`` is set), ``dead`` flags
-    zero-diagonal channels.  Arrays are frozen read-only so one factor can
-    be shared safely across layers and cache hits.
+    ``inv_upper`` is the upper Cholesky factor of the damped ``H^{-1}``,
+    ``dead`` flags zero-diagonal channels.  Arrays are frozen read-only so
+    one factor can be shared safely across layers and cache hits.
     """
 
     inv_upper: np.ndarray
     dead: np.ndarray
-    permutation: np.ndarray | None = None
 
 
 def factorize_hessian(
     hessian: np.ndarray,
     percdamp: float = 0.01,
-    actorder: bool = False,
     scale: float = 1.0,
 ) -> HessianFactor:
-    """Damp, (optionally) permute, and Cholesky-factorize one Hessian.
+    """Damp and Cholesky-factorize one Hessian.
 
     ``scale`` factorizes ``scale · H`` without materialising it: the
     damping is *relative* (``percdamp · mean(diag)``), so it commutes with
-    a positive scale; dead-channel detection and the ``actorder``
-    permutation (a stable argsort of the diagonal) are scale-invariant;
-    and ``chol((s·H_damped)^{-1}) = chol(H_damped^{-1}) / sqrt(s)``.  This
+    a positive scale; dead-channel detection is scale-invariant; and
+    ``chol((s·H_damped)^{-1}) = chol(H_damped^{-1}) / sqrt(s)``.  This
     is what lets a Kronecker-factored Hessian family ``{g_h · A}`` share a
     single O(D³) factorization of ``A`` across heads (KronQ).
 
@@ -185,23 +179,18 @@ def factorize_hessian(
     if scale <= 0:
         raise ValueError("scale must be positive")
     damped, dead = prepare_hessian(hessian, percdamp)
-    permutation: np.ndarray | None = None
-    if actorder:
-        permutation = np.argsort(-np.diagonal(damped), kind="stable")
-        damped = damped[np.ix_(permutation, permutation)]
-        permutation.setflags(write=False)
     inv_upper = inverse_cholesky(damped)
     if scale != 1.0:
         inv_upper = inv_upper / np.sqrt(scale)
     inv_upper.setflags(write=False)
     dead.setflags(write=False)
-    return HessianFactor(inv_upper=inv_upper, dead=dead, permutation=permutation)
+    return HessianFactor(inv_upper=inv_upper, dead=dead)
 
 
 class HessianFactorCache:
     """Memoizes :func:`factorize_hessian` by Hessian content fingerprint.
 
-    Keys are ``(fingerprint, percdamp, actorder)``; entries are evicted
+    Keys are ``(fingerprint, percdamp)``; entries are evicted
     FIFO beyond ``max_entries`` (factors are ``(d_in, d_in)`` float64, so
     the cache bounds its own memory).  A hit is bit-identical to a fresh
     factorization — toggling the cache can never change solver output.
@@ -213,34 +202,28 @@ class HessianFactorCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._entries: dict[tuple[str, float, bool], HessianFactor] = {}
-        self._derived: dict[tuple[str, float, float, bool], HessianFactor] = {}
+        self._entries: dict[tuple[str, float], HessianFactor] = {}
+        self._derived: dict[tuple[str, float, float], HessianFactor] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def factor(
-        self, hessian: np.ndarray, percdamp: float, actorder: bool
-    ) -> HessianFactor:
-        """Cached equivalent of ``factorize_hessian(hessian, ...)``."""
-        key = (hessian_fingerprint(hessian), float(percdamp), bool(actorder))
+    def factor(self, hessian: np.ndarray, percdamp: float) -> HessianFactor:
+        """Cached equivalent of ``factorize_hessian(hessian, percdamp)``."""
+        key = (hessian_fingerprint(hessian), float(percdamp))
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        factor = factorize_hessian(hessian, percdamp, actorder)
+        factor = factorize_hessian(hessian, percdamp)
         if len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
         self._entries[key] = factor
         return factor
 
     def scaled_factor(
-        self,
-        hessian: np.ndarray,
-        scale: float,
-        percdamp: float,
-        actorder: bool,
+        self, hessian: np.ndarray, scale: float, percdamp: float
     ) -> HessianFactor:
         """Factor of ``scale · hessian``, derived from the cached base.
 
@@ -254,23 +237,16 @@ class HessianFactorCache:
         if scale <= 0:
             raise ValueError("scale must be positive")
         if scale == 1.0:
-            return self.factor(hessian, percdamp, actorder)
-        key = (
-            hessian_fingerprint(hessian),
-            scale,
-            float(percdamp),
-            bool(actorder),
-        )
+            return self.factor(hessian, percdamp)
+        key = (hessian_fingerprint(hessian), scale, float(percdamp))
         cached = self._derived.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        base = self.factor(hessian, percdamp, actorder)
+        base = self.factor(hessian, percdamp)
         inv_upper = base.inv_upper / np.sqrt(scale)
         inv_upper.setflags(write=False)
-        derived = HessianFactor(
-            inv_upper=inv_upper, dead=base.dead, permutation=base.permutation
-        )
+        derived = HessianFactor(inv_upper=inv_upper, dead=base.dead)
         if len(self._derived) >= self.max_entries:
             self._derived.pop(next(iter(self._derived)))
         self._derived[key] = derived
@@ -404,16 +380,14 @@ def _prepare(
     bits: int,
     group_size: int | None,
     percdamp: float,
-    actorder: bool,
     cache: HessianFactorCache | None,
     hessian_scale: float,
 ) -> tuple:
     """Validate, factorize, and fit the static grids of one solve.
 
     Returns the float64 weight, the working copy a sweep compensates in
-    place (dead channels zeroed, rows in ``actorder`` order), the Hessian
-    factor, the resolved group size, and the static grids with their
-    scale/zero arrays.
+    place (dead channels zeroed), the Hessian factor, the resolved group
+    size, and the static grids with their scale/zero arrays.
     """
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 2:
@@ -427,38 +401,26 @@ def _prepare(
 
     if cache is not None:
         if hessian_scale != 1.0:
-            factor = cache.scaled_factor(
-                hessian, hessian_scale, percdamp, actorder
-            )
+            factor = cache.scaled_factor(hessian, hessian_scale, percdamp)
         else:
-            factor = cache.factor(hessian, percdamp, actorder)
+            factor = cache.factor(hessian, percdamp)
     else:
-        factor = factorize_hessian(
-            hessian, percdamp, actorder, scale=hessian_scale
-        )
+        factor = factorize_hessian(hessian, percdamp, scale=hessian_scale)
 
     working = weight.copy()
     working[factor.dead, :] = 0.0
-    if factor.permutation is not None:
-        working = working[factor.permutation]
     grids = _static_group_grids(working, group_size, bits)
     return weight, working, factor, group_size, grids
 
 
 def _solver_result(
     weight: np.ndarray,
-    factor: HessianFactor,
     group_size: int,
     bits: int,
     grids: tuple[list[QuantParams], np.ndarray, np.ndarray],
     swept: tuple[np.ndarray, np.ndarray, float],
 ) -> SolverResult:
-    """Assemble one sweep's output into a :class:`SolverResult`.
-
-    Codes/scales stay in the (possibly permuted) sweep layout — grids were
-    fitted in that order — while the dense weight is returned row-aligned;
-    the permutation on the result links the two.
-    """
+    """Assemble one sweep's output into a :class:`SolverResult`."""
     quantized, codes, compensated_loss = swept
     _, scales, zeros = grids
     group_result = GroupQuantResult(
@@ -468,17 +430,12 @@ def _solver_result(
         bits=bits,
         group_size=group_size,
     )
-    permutation = factor.permutation
-    if permutation is not None:
-        quantized = quantized[np.argsort(permutation)]
-
     mse = float(((weight - quantized) ** 2).mean())
     return SolverResult(
         quantized_weight=quantized,
         group_result=group_result,
         compensated_loss=compensated_loss,
         mse=mse,
-        permutation=None if permutation is None else np.array(permutation),
     )
 
 
@@ -489,7 +446,6 @@ def quantize_with_hessian(
     group_size: int | None = None,
     blocksize: int = 128,
     percdamp: float = 0.01,
-    actorder: bool = False,
     cache: HessianFactorCache | None = None,
     hessian_scale: float = 1.0,
 ) -> SolverResult:
@@ -497,9 +453,9 @@ def quantize_with_hessian(
 
     Parameters mirror GPTQ: ``group_size`` for the quantization grid
     granularity, ``blocksize`` for the lazy-batched update, ``percdamp`` for
-    diagonal damping, ``actorder`` to process channels by decreasing Hessian
-    diagonal (GPTQ's ``--act-order``).  The sweep is the lazy-batch blocked
-    schedule, bit-identical to :func:`quantize_with_hessian_reference` (see
+    diagonal damping.  Channels are swept in their natural order, so the
+    result's codes are row-aligned with ``weight``.  The sweep is the
+    lazy-batch blocked schedule, bit-identical to :func:`quantize_with_hessian_reference` (see
     module docstring); ``cache`` reuses Cholesky factors across calls
     sharing a Hessian.  ``hessian_scale`` quantizes against
     ``hessian_scale · hessian`` without materialising the product (the
@@ -515,19 +471,12 @@ def quantize_with_hessian(
     if blocksize <= 0:
         raise ValueError("blocksize must be positive")
     weight, working, factor, group_size, grids = _prepare(
-        weight,
-        hessian,
-        bits,
-        group_size,
-        percdamp,
-        actorder,
-        cache,
-        hessian_scale,
+        weight, hessian, bits, group_size, percdamp, cache, hessian_scale
     )
     swept = _sweep_blocked(
         working, factor.inv_upper, grids[0], group_size, blocksize
     )
-    return _solver_result(weight, factor, group_size, bits, grids, swept)
+    return _solver_result(weight, group_size, bits, grids, swept)
 
 
 def quantize_with_hessian_reference(
@@ -536,12 +485,11 @@ def quantize_with_hessian_reference(
     bits: int,
     group_size: int | None = None,
     percdamp: float = 0.01,
-    actorder: bool = False,
     cache: HessianFactorCache | None = None,
 ) -> SolverResult:
     """Column-at-a-time solver: the slow, obviously-correct specification."""
     weight, working, factor, group_size, grids = _prepare(
-        weight, hessian, bits, group_size, percdamp, actorder, cache, 1.0
+        weight, hessian, bits, group_size, percdamp, cache, 1.0
     )
     swept = _sweep_reference(working, factor.inv_upper, grids[0], group_size)
-    return _solver_result(weight, factor, group_size, bits, grids, swept)
+    return _solver_result(weight, group_size, bits, grids, swept)

@@ -261,7 +261,7 @@ def solver_bench_records(repeats: int = 3) -> list[dict]:
         "factor-cache",
         {"d_in": size, "repeats": repeats, "seed": SEED},
         ("cold", lambda: factorize_hessian(hessian)),  # lint: disable=perf-raw-factorization
-        ("warm", lambda: cache.factor(hessian, 0.01, False)),
+        ("warm", lambda: cache.factor(hessian, 0.01)),
         repeats,
         lambda cold, warm: np.array_equal(cold.inv_upper, warm.inv_upper),
     )
@@ -435,8 +435,9 @@ def calibration_bench_records(
     * ``calibration-capture`` — the legacy per-block protocol (one
       ``capture_attention`` restart from the embedding per (block, batch)
       pair, ``probe_mode="reference"`` per-probe gradient loops) against a
-      frozen :class:`~repro.core.hessian.CalibrationCaptureStream` feeding
-      the batched-probe
+      frozen
+      :class:`~repro.quant.calibration_hooks.CalibrationCaptureStream`
+      feeding the batched-probe
       :func:`~repro.core.hessian.attention_hessians_from_captures`.  The
       fast path is bit-identical by construction; the flag is re-checked
       here by exact array comparison of every block's q/k/v/o Hessians.

@@ -15,9 +15,11 @@ picks up blindly.  Two mechanisms close that hole:
 
 On top of the primitives sits a small ``.npz``-based container
 (:func:`save_checkpoint` / :func:`load_checkpoint`) that pairs arbitrary
-named arrays with a JSON metadata blob — the on-disk format of both model
-checkpoints (:mod:`repro.nn.serialize`) and APTQ per-block run checkpoints
-(:mod:`repro.core.aptq`).
+named arrays with a JSON metadata blob stored under one reserved array
+name.  It is the on-disk format of APTQ per-block run checkpoints
+(:mod:`repro.core.aptq`, ``__checkpoint_json__``) and, through
+:mod:`repro.nn.serialize`, of packed artifacts (``__meta_json__``) and
+model checkpoints (``__config_json__``).
 """
 
 from __future__ import annotations
@@ -129,13 +131,20 @@ def verify_checksum(path: str | Path, required: bool = False) -> bool:
 
 
 def save_checkpoint(
-    path: str | Path, arrays: Mapping[str, np.ndarray], meta: Mapping
+    path: str | Path,
+    arrays: Mapping[str, np.ndarray],
+    meta: Mapping,
+    key: str = _META_KEY,
 ) -> Path:
-    """Atomically write arrays + JSON ``meta`` as one checksummed ``.npz``."""
+    """Atomically write arrays + JSON ``meta`` as one checksummed ``.npz``.
+
+    ``meta`` is stored as JSON bytes under the reserved array name ``key``,
+    after the arrays.
+    """
     payload = dict(arrays)
-    if _META_KEY in payload:
-        raise ValueError(f"array name {_META_KEY!r} is reserved")
-    payload[_META_KEY] = np.frombuffer(
+    if key in payload:
+        raise ValueError(f"array name {key!r} is reserved")
+    payload[key] = np.frombuffer(
         json.dumps(dict(meta)).encode(), dtype=np.uint8
     )
     atomic_save_npz(path, payload)
@@ -144,11 +153,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(
-    path: str | Path, verify: bool = True
+    path: str | Path, verify: bool = True, key: str = _META_KEY
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Load a :func:`save_checkpoint` archive, returning ``(arrays, meta)``.
 
-    With ``verify=True`` (default) the SHA-256 sidecar is checked first when
+    ``key`` is the reserved array name the metadata was saved under.  With
+    ``verify=True`` (default) the SHA-256 sidecar is checked first when
     present.  Raises :class:`CheckpointError` for any unreadable, truncated,
     or metadata-less archive; ``FileNotFoundError`` passes through untouched
     so "no checkpoint yet" stays distinguishable from "bad checkpoint".
@@ -160,16 +170,16 @@ def load_checkpoint(
         verify_checksum(path, required=False)
     try:
         with np.load(path) as archive:
-            raw = {key: archive[key] for key in archive.files}
+            raw = {name: archive[name] for name in archive.files}
     except (zipfile.BadZipFile, ValueError, EOFError, OSError) as error:
         raise CheckpointError(f"unreadable checkpoint {path}: {error}") from error
-    if _META_KEY not in raw:
+    if key not in raw:
         raise CheckpointError(
-            f"checkpoint {path} has no {_META_KEY} entry; it was not written "
-            "by repro.runtime.checkpoint.save_checkpoint"
+            f"checkpoint {path} has no {key} entry; it was not written "
+            f"by repro.runtime.checkpoint.save_checkpoint with key {key!r}"
         )
     try:
-        meta = json.loads(raw.pop(_META_KEY).tobytes().decode())
+        meta = json.loads(raw.pop(key).tobytes().decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise CheckpointError(
             f"checkpoint {path} carries corrupt metadata: {error}"

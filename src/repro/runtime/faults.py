@@ -18,7 +18,8 @@ Sites wired into the runtime:
   after the previous block's checkpoint landed on disk.
 * ``"calibration-batch"`` — transforms (poisons) the matching calibration
   batch in :func:`repro.quant.calibration_hooks.collect_input_stats` and
-  where :class:`repro.core.hessian.CalibrationCaptureStream` embeds it.
+  where :class:`repro.quant.calibration_hooks.CalibrationCaptureStream`
+  embeds it.
 
 Serving fault sites (wired into :mod:`repro.serve`):
 

@@ -490,6 +490,21 @@ class TestPerfCalibrationReforward:
             self.STATS_IN_BLOCK_LOOP, "perf-calibration-reforward"
         ) == [("perf-calibration-reforward", 9)]
 
+    STATS_PER_BLOCK_GROUP = (
+        '"""m."""\n'
+        "from repro.quant.calibration_hooks import collect_input_stats\n"
+        "from repro.quant.gptq import group_layers_by_block\n\n\n"
+        'def f(model, segments, layers):\n    """D."""\n'
+        "    for group in group_layers_by_block(layers):\n"
+        "        collect_input_stats(model, segments, layer_names=group)\n"
+    )
+
+    def test_input_stats_per_block_group_flagged(self):
+        # The iterable names blocks without the word "blocks".
+        assert hits(
+            self.STATS_PER_BLOCK_GROUP, "perf-calibration-reforward"
+        ) == [("perf-calibration-reforward", 9)]
+
     def test_input_stats_outside_block_loop_clean(self):
         src = (
             '"""m."""\n'

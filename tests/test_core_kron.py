@@ -140,20 +140,19 @@ class TestScaledFactorization:
         cache = HessianFactorCache()
         gains = [0.5, 1.7, 2.2]
         for gain in gains:
-            cache.scaled_factor(hessian, gain, percdamp=0.01, actorder=False)
+            cache.scaled_factor(hessian, gain, percdamp=0.01)
         # One O(D^3) base factorization; every head is an O(D^2) rescale.
         assert cache.misses == 1
         # A repeated scale is a pure hit.
         before = cache.hits
-        cache.scaled_factor(hessian, gains[0], percdamp=0.01, actorder=False)
+        cache.scaled_factor(hessian, gains[0], percdamp=0.01)
         assert cache.hits == before + 1
 
     def test_scaled_factor_unit_scale_delegates(self, hessian):
         cache = HessianFactorCache()
-        base = cache.factor(hessian, percdamp=0.01, actorder=False)
+        base = cache.factor(hessian, percdamp=0.01)
         assert (
-            cache.scaled_factor(hessian, 1.0, percdamp=0.01, actorder=False)
-            is base
+            cache.scaled_factor(hessian, 1.0, percdamp=0.01) is base
         )
 
     @pytest.mark.parametrize("scale", [0.3, 4.0])

@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.core.hessian as hessian
+import repro.quant.calibration_hooks as calibration_hooks
 from repro.core import attention_grads
 from repro.core.attention_grads import (
     attention_preactivation_gradients_batched,
@@ -153,7 +153,7 @@ def test_softmax_adjoint_runs_in_the_upstream_buffer():
     assert peak < 2 * score_bytes + score_bytes // 2, peak
 
 
-class _UnboundedGramCache(hessian.SharedGramCache):
+class _UnboundedGramCache(calibration_hooks.SharedGramCache):
     """The former cache: every keyed activation pinned until reset."""
 
     instances: list = []
@@ -178,7 +178,7 @@ class _UnboundedGramCache(hessian.SharedGramCache):
         self.entries.clear()
 
 
-class _CountedGramCache(hessian.SharedGramCache):
+class _CountedGramCache(calibration_hooks.SharedGramCache):
     instances: list = []
 
     def __init__(self) -> None:
@@ -197,7 +197,7 @@ def test_collect_input_stats_peak_does_not_grow_with_depth(monkeypatch):
         counts = {}
         stats = {}
         for cache in (_UnboundedGramCache, _CountedGramCache):
-            monkeypatch.setattr(hessian, "SharedGramCache", cache)
+            monkeypatch.setattr(calibration_hooks, "SharedGramCache", cache)
             collect_input_stats(model, segments)  # warm-up
             cache.instances.clear()
             with traced() as reading:

@@ -118,7 +118,7 @@ class TestDequantizeMatchesLoop:
         basis = rng.normal(size=(44, 44))
         hessian = basis @ basis.T / 44 + 0.05 * np.eye(44)
         result = quantize_with_hessian(
-            weight, hessian, bits=3, group_size=group_size, actorder=True
+            weight, hessian, bits=3, group_size=group_size
         ).group_result
         assert np.array_equal(result.dequantize(), dequantize_per_group(result))
 

@@ -1,22 +1,25 @@
 """Tests for the model-level quantization methods (RTN, GPTQ, SmoothQuant,
 OWQ, PB-LLM, FPQ, LLM-QAT) and the calibration hook machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.quant.calibration_hooks import InputCollector, collect_input_stats
-from repro.quant.fpq import FP4_VALUES, fpq_quantize_model
-from repro.quant.gptq import (
-    gptq_quantize_model,
-    group_layers_by_block,
-    layer_block_index,
+from repro.nn.transformer import LlamaModel
+from repro.quant.calibration_hooks import (
+    InputCollector,
+    collect_input_stats,
+    sequential_input_stats,
 )
+from repro.quant.fpq import FP4_VALUES, fpq_quantize_model
+from repro.quant.gptq import gptq_quantize_model
 from repro.quant.llmqat import LLMQATConfig, generate_self_data, llmqat_train
 from repro.quant.owq import owq_quantize_model, select_outlier_channels
 from repro.quant.pbllm import pbllm_average_bits, pbllm_quantize_model
 from repro.quant.rtn import rtn_quantize_model
 from repro.quant.smoothquant import smooth_scales, smoothquant_quantize_model
-from tests.conftest import clone
+from tests.conftest import MICRO_CONFIG, clone
 
 
 class TestCalibrationHooks:
@@ -62,27 +65,21 @@ class TestCalibrationHooks:
 
 
 class TestLayerGrouping:
-    def test_block_index_parsing(self):
-        assert layer_block_index("blocks.3.self_attn.q_proj") == 3
-        assert layer_block_index("lm_head") is None
-
-    def test_groups_ordered_by_depth(self):
-        names = [
-            "blocks.1.mlp.up_proj",
-            "blocks.0.self_attn.q_proj",
-            "lm_head",
-            "blocks.0.mlp.down_proj",
+    def test_groups_ordered_by_depth(self, calibration):
+        # Sequential calibration yields one group per block in depth order,
+        # each in quantizable_linears() order, then the untied lm_head.
+        config = dataclasses.replace(MICRO_CONFIG, tie_embeddings=False)
+        model = LlamaModel(config, seed=0)
+        names = list(model.quantizable_linears())
+        groups = [
+            group
+            for group, _ in sequential_input_stats(
+                model, calibration.segments[:4]
+            )
         ]
-        groups = group_layers_by_block(names)
-        assert groups[0] == ["blocks.0.self_attn.q_proj", "blocks.0.mlp.down_proj"]
-        assert groups[1] == ["blocks.1.mlp.up_proj"]
-        assert groups[2] == ["lm_head"]
-
-    def test_malformed_block_index_raises_clear_error(self):
-        with pytest.raises(ValueError, match="malformed layer name"):
-            layer_block_index("blocks.attn.q_proj")
-        with pytest.raises(ValueError, match="'blocks.oops.w'.*'oops'"):
-            group_layers_by_block(["blocks.0.mlp.up_proj", "blocks.oops.w"])
+        assert groups == [names[:7], names[7:14], ["lm_head"]]
+        assert all(name.startswith("blocks.0.") for name in groups[0])
+        assert all(name.startswith("blocks.1.") for name in groups[1])
 
 
 class TestRTN:
@@ -238,6 +235,20 @@ class TestPBLLM:
             pbllm_quantize_model(
                 clone(trained_micro_model), calibration, salient_fraction=1.0
             )
+
+    @pytest.mark.parametrize("group_size", [0, -1])
+    def test_nonpositive_group_size_rejected(
+        self, micro_model, calibration, group_size
+    ):
+        # As for every other method: no silent per-column run for 0, no
+        # numpy shape error for -1, and no layer rewritten.
+        before = micro_model.state_dict()
+        with pytest.raises(ValueError, match="group_size must be positive"):
+            pbllm_quantize_model(
+                micro_model, calibration, group_size=group_size
+            )
+        for name, array in micro_model.state_dict().items():
+            assert np.array_equal(array, before[name]), name
 
 
 class TestFPQ:

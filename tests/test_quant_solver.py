@@ -98,22 +98,6 @@ class TestSolver:
                 values = np.unique(solved.quantized_weight[rows, col])
                 assert values.size <= 4
 
-    def test_actorder_round_trips_permutation(self, problem):
-        w, x, hessian = problem
-        solved = quantize_with_hessian(
-            w, hessian, bits=4, group_size=8, actorder=True
-        )
-        assert solved.permutation is not None
-        inverse = np.argsort(solved.permutation)
-        assert np.allclose(
-            solved.group_result.dequantize()[inverse], solved.quantized_weight
-        )
-        # Still a sane quantization.
-        rtn = quantize_groupwise(w, 4, 8).dequantize()
-        assert reconstruction_error(w, solved.quantized_weight, x) <= (
-            reconstruction_error(w, rtn, x) * 1.5
-        )
-
     def test_dead_channels_zeroed(self, rng):
         w = rng.normal(size=(10, 4))
         x = rng.normal(size=(100, 10))

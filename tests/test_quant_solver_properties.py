@@ -3,9 +3,8 @@
 Complements the differential suite (which compares schedules against each
 other) with properties each result must satisfy on its own: quantized
 values live exactly on the group codebook grid, codes stay in range,
-reconstruction error is monotone non-increasing in bit-width, ``actorder``
-results are consistent under the returned permutation, and the factor
-cache is transparent.
+reconstruction error is monotone non-increasing in bit-width, codes are
+row-aligned with the returned weight, and the factor cache is transparent.
 """
 
 import numpy as np
@@ -73,27 +72,29 @@ class TestErrorMonotonicity:
         assert mses[2] < mses[0]  # strictly better somewhere
 
 
-class TestActorderConsistency:
+class TestCodesRowAligned:
+    """Codes and grids are in the weight's own row order: decoding them
+    gives the returned dense weight exactly, with no reordering."""
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_permutation_links_codes_to_weight(self, seed):
-        weight, hessian = make_problem((32, 10), seed)
-        result = quantize_with_hessian(
-            weight, hessian, bits=4, group_size=8, actorder=True
-        )
-        perm = result.permutation
-        assert perm is not None
-        assert sorted(perm.tolist()) == list(range(32))
-        # Codes/grids live in the sweep (permuted) layout; the dense weight
-        # is row-aligned with the input.  The permutation links the two.
+    def test_ragged_groups_decode_to_weight(self, seed):
+        # 30 rows in groups of 8: the last group holds 6.
+        weight, hessian = make_problem((30, 10), seed)
+        result = quantize_with_hessian(weight, hessian, bits=4, group_size=8)
+        assert result.group_result.n_groups == 4
         assert np.array_equal(
-            result.group_result.dequantize(),
-            result.quantized_weight[perm],
+            result.group_result.dequantize(), result.quantized_weight
         )
 
-    def test_no_actorder_has_no_permutation(self):
+    def test_dead_channel_decodes_to_weight(self):
         weight, hessian = make_problem((16, 6), seed=5)
-        result = quantize_with_hessian(weight, hessian, bits=4)
-        assert result.permutation is None
+        hessian[7, :] = 0.0
+        hessian[:, 7] = 0.0
+        result = quantize_with_hessian(weight, hessian, bits=4, group_size=5)
+        assert np.array_equal(result.quantized_weight[7], np.zeros(6))
+        assert np.array_equal(
+            result.group_result.dequantize(), result.quantized_weight
+        )
 
 
 class TestFactorCache:
@@ -120,7 +121,7 @@ class TestFactorCache:
     def test_cached_factor_equals_direct(self):
         _, hessian = make_problem((20, 4), seed=3)
         cache = HessianFactorCache()
-        cached = cache.factor(hessian, 0.01, False)
+        cached = cache.factor(hessian, 0.01)
         direct = factorize_hessian(hessian, percdamp=0.01)
         assert np.array_equal(cached.inv_upper, direct.inv_upper)
         assert np.array_equal(cached.dead, direct.dead)
@@ -131,16 +132,14 @@ class TestFactorCache:
         _, hessian = make_problem((20, 4), seed=3)
         cache = HessianFactorCache()
         for factor in (
-            cache.factor(hessian, 0.01, False),  # miss
-            cache.factor(hessian, 0.01, False),  # hit
-            cache.factor(hessian, 0.01, True),  # actorder variant
+            cache.factor(hessian, 0.01),  # miss
+            cache.factor(hessian, 0.01),  # hit
+            cache.scaled_factor(hessian, 2.0, 0.01),  # derived
         ):
             assert not factor.inv_upper.flags.writeable
             assert not factor.dead.flags.writeable
             with pytest.raises(ValueError):
                 factor.inv_upper[0, 0] = 1.0
-            if factor.permutation is not None:
-                assert not factor.permutation.flags.writeable
 
     def test_fingerprint_distinguishes_content(self):
         _, hessian = make_problem((16, 4), seed=4)
@@ -155,7 +154,7 @@ class TestFactorCache:
         cache = HessianFactorCache(max_entries=2)
         for seed in range(4):
             _, hessian = make_problem((8, 2), seed)
-            cache.factor(hessian, 0.01, False)
+            cache.factor(hessian, 0.01)
         assert len(cache) == 2
         with pytest.raises(ValueError):
             HessianFactorCache(max_entries=0)

@@ -16,11 +16,13 @@ python -m pytest -x -q tests/test_runtime_recovery.py \
     tests/test_runtime_integration.py
 
 # test_data_streams.py pins the seeded corpus, calibration and task
-# streams every golden is computed from.
+# streams every golden is computed from; test_quant_sequential.py pins
+# the GPTQ-family stream against the per-block full-model forward.
 echo "== differential + bench smoke (perf engine bit-identity) =="
 python -m pytest -x -q tests/test_quant_differential.py \
     tests/test_quant_golden.py tests/test_bench_schema.py \
-    tests/test_data_streams.py tests/test_core_working_set.py
+    tests/test_data_streams.py tests/test_core_working_set.py \
+    tests/test_quant_sequential.py
 
 echo "== format conformance (registry zoo: round trip, pack, goldens) =="
 python -m pytest -x -q tests/test_quant_formats.py \
