@@ -24,10 +24,7 @@ def run_ablation(context, group_sizes=(8, 16, 32, 64)):
         )
         storage = sum(
             FormatLinear.from_weight(
-                linear.weight.data,
-                "int",
-                group_size,
-                bits=result.allocation[name],
+                linear.weight.data, result.allocation[name], group_size
             ).storage_bytes()
             for name, linear in model.quantizable_linears().items()
         )

@@ -42,7 +42,7 @@ def main() -> None:
     for name, linear in model.quantizable_linears().items():
         bits = result.allocation[name]
         packed = FormatLinear.from_weight(
-            linear.weight.data, "int", group_size=32, bits=bits
+            linear.weight.data, bits, group_size=32
         )
         fp16_bytes = linear.weight.size * 2
         total_packed += packed.storage_bytes()

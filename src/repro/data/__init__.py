@@ -9,8 +9,8 @@ offline, so this package provides seeded synthetic equivalents:
   structure to learn (and quantization something to destroy).
 * :mod:`repro.data.corpus` — the ``c4-sim`` multi-domain mixture and the
   narrower ``wikitext2-sim`` corpus, with train/validation/test splits.
-* :mod:`repro.data.tokenizer` / :mod:`repro.data.bpe` — a word-level
-  tokenizer (used by the experiments) and a byte-pair encoder substrate.
+* :mod:`repro.data.tokenizer` — the word-level tokenizer the experiments
+  use.
 * :mod:`repro.data.calibration` — the 128-segment calibration sampler that
   mirrors the paper's protocol.
 * :mod:`repro.data.tasks` — synthetic PIQA / HellaSwag / ARC-E / ARC-C /
@@ -19,7 +19,6 @@ offline, so this package provides seeded synthetic equivalents:
 
 from repro.data.grammar import MarkovGrammar
 from repro.data.tokenizer import WordTokenizer, build_lexicon
-from repro.data.bpe import BPETokenizer
 from repro.data.corpus import CorpusSplits, SyntheticCorpus, c4_sim, wikitext2_sim
 from repro.data.calibration import CalibrationSet, sample_calibration
 from repro.data.tasks import (
@@ -33,7 +32,6 @@ __all__ = [
     "MarkovGrammar",
     "WordTokenizer",
     "build_lexicon",
-    "BPETokenizer",
     "CorpusSplits",
     "SyntheticCorpus",
     "c4_sim",

@@ -11,7 +11,6 @@ from repro.eval.zeroshot import (
     evaluate_suite,
     evaluate_suites,
 )
-from repro.eval.runner import EvaluationReport, evaluate_model
 
 __all__ = [
     "perplexity",
@@ -19,6 +18,4 @@ __all__ = [
     "choice_loglikelihoods",
     "evaluate_suite",
     "evaluate_suites",
-    "EvaluationReport",
-    "evaluate_model",
 ]

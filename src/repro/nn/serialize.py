@@ -33,8 +33,8 @@ def save_arrays(
     """Write named arrays plus a JSON header to a single ``.npz``.
 
     The generic sibling of :func:`save_state_dict` used by payload
-    producers that are not plain state dicts (the quantization format
-    registry's packed artifacts).  The write is atomic and leaves a
+    producers that are not plain state dicts (the packed artifacts of
+    :mod:`repro.quant.deploy`).  The write is atomic and leaves a
     SHA-256 sidecar; ``meta`` must be JSON-serialisable and is embedded
     under a reserved ``__meta_json__`` key.
     """

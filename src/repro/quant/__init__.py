@@ -6,12 +6,11 @@ Building blocks
 * :mod:`repro.quant.groupwise` — group-wise quantization over input channels
   and the min/max grid fit (``group_params``).
 * :mod:`repro.quant.packing` — dense bit-packing of integer codes.
-* :mod:`repro.quant.formats` — low-precision format registry (int-k, FP4,
-  NF4, MX-style shared exponent, 2:4 sparse) behind one
-  encode/decode/pack protocol with declared error bounds, and
+* :mod:`repro.quant.formats` — the int-k storage format (``IntFormat``:
+  encode/decode, byte-exact pack/unpack, a declared error bound) and
   ``FormatLinear``, the packed layer every deployed layer is stored as.
-* :mod:`repro.quant.observer` — calibration observers (absmax/percentile)
-  driving the lookup-table formats' scale selection.
+* :mod:`repro.quant.deploy` — the packed-model artifact (``pack_model``,
+  ``PackedModel``).
 * :mod:`repro.quant.solver` — the shared second-order error-compensation
   solver (GPTQ Cholesky inner loop; APTQ reuses it with its own Hessians).
 
@@ -30,25 +29,7 @@ Methods compared in the paper's tables
 from repro.quant.uniform import QuantParams, dequantize, quantize
 from repro.quant.groupwise import GroupQuantResult, quantize_groupwise
 from repro.quant.packing import pack_codes, unpack_codes
-from repro.quant.formats import (
-    FormatLinear,
-    IntFormat,
-    LutFormat,
-    MxFormat,
-    QuantFormat,
-    QuantizedTensor,
-    Sparse24Format,
-    available_formats,
-    get_format,
-    register_format,
-    resolve_format,
-)
-from repro.quant.observer import (
-    AbsmaxObserver,
-    Observer,
-    PercentileObserver,
-    get_observer,
-)
+from repro.quant.formats import FormatLinear, IntFormat, QuantizedTensor
 from repro.quant.deploy import PackedModel, pack_model
 from repro.quant.solver import (
     HessianFactor,
@@ -75,21 +56,9 @@ __all__ = [
     "quantize_groupwise",
     "pack_codes",
     "unpack_codes",
-    "QuantFormat",
     "QuantizedTensor",
     "IntFormat",
-    "LutFormat",
-    "MxFormat",
-    "Sparse24Format",
     "FormatLinear",
-    "register_format",
-    "get_format",
-    "resolve_format",
-    "available_formats",
-    "Observer",
-    "AbsmaxObserver",
-    "PercentileObserver",
-    "get_observer",
     "PackedModel",
     "pack_model",
     "SolverResult",

@@ -3,16 +3,18 @@
 The paper's motivation is fitting LLMs into edge-device memory; this module
 provides the artifact a deployment would actually ship: every quantizable
 layer stored as a :class:`~repro.quant.formats.FormatLinear` payload
-(packed codes + grids of an int-k or other format of
-:mod:`repro.quant.formats`), the full-precision remainder (embeddings,
-norms) as fp16, all in one ``.npz``.
+(bit-packed int-k codes + fp16 group grids, the storage format of
+:class:`~repro.quant.formats.IntFormat`), the full-precision remainder
+(embeddings, norms) as fp16, all in one ``.npz``.
 
 ``pack_model`` captures a quantized model (after any method from
 ``repro.quant``/``repro.core`` ran on it); ``PackedModel.to_model()``
 reconstructs a runnable :class:`~repro.nn.transformer.LlamaModel` whose
 weights equal the packed representation exactly.  The on-disk archive is
 written through :func:`repro.nn.serialize.save_arrays`, so it is atomic
-and checksummed like every other checkpoint in the repo.
+and checksummed like every other checkpoint in the repo.  An archive is
+input from outside the program: :meth:`PackedModel.load` accepts only
+``int<k>`` layer headers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from repro.nn.config import LlamaConfig
 from repro.nn.serialize import load_arrays, save_arrays
 from repro.nn.transformer import LlamaModel
-from repro.quant.formats import FormatLinear, IntFormat, get_format, resolve_format
+from repro.quant.formats import FormatLinear, IntFormat
 
 __all__ = ["PackedModel", "pack_model"]
 
@@ -99,11 +101,10 @@ class PackedModel:
                 for key, array in raw.items()
                 if key.startswith(prefix)
             }
-            if "format" not in meta:
-                # Archives written before int layers carried a format name:
-                # their arrays already have the int payload layout.
-                meta = {"format": f"int{meta['bits']}", **meta}
-            layers[name] = FormatLinear(get_format(meta["format"]), arrays, meta)
+            fmt = _header_format(name, meta)
+            layers[name] = FormatLinear(
+                fmt, arrays, {"format": fmt.name, **meta}
+            )
         full_precision = {
             key[len("fp/"):]: raw[key]
             for key in raw
@@ -112,12 +113,28 @@ class PackedModel:
         return cls(config=config, layers=layers, full_precision=full_precision)
 
 
+def _header_format(name: str, meta: dict) -> IntFormat:
+    """The int format a layer header declares; any other format is refused.
+
+    Headers written before layers named their format carry only
+    ``bits``/``group_size``/``shape`` and load as ``int<bits>``; the
+    loaded layer's header then names it.
+    """
+    bits = meta["bits"]
+    declared = meta.get("format", f"int{bits}")
+    if declared != f"int{bits}":
+        raise ValueError(
+            f"packed layer {name!r} declares format {declared!r} with "
+            f"{bits}-bit codes; only int<k> layers load"
+        )
+    return IntFormat(bits)
+
+
 def pack_model(
     model: LlamaModel,
     bits: int | dict[str, int],
     group_size: int | None = 32,
     layer_results: dict | None = None,
-    format: str = "int",
 ) -> PackedModel:
     """Pack a (typically already fake-quantized) model for deployment.
 
@@ -129,18 +146,7 @@ def pack_model(
     fresh min/max grid, which may shift entries by up to half a
     quantization step.  Non-quantizable parameters (embeddings, norm
     gains) are carried at fp16.
-
-    ``format`` selects a registry entry from :mod:`repro.quant.formats`
-    for the re-rounding path (``"int"`` is the affine int family at each
-    layer's ``bits``; any other name must be registered).  Layers in
-    ``layer_results`` keep their solver payloads whatever ``format``
-    says, so one artifact can mix int solver layers with, e.g., ``nf4``
-    layers.
     """
-    if format != "int":
-        # Validate the name up front: unknown formats fail with the
-        # registry listing, not deep inside the per-layer loop.
-        resolve_format(format)
     quantizable = model.quantizable_linears()
     layers: dict[str, FormatLinear] = {}
     for name, linear in quantizable.items():
@@ -149,11 +155,6 @@ def pack_model(
             fmt = IntFormat(result.group_result.bits)
             layers[name] = FormatLinear.from_tensor(
                 fmt, fmt.from_group_result(result.group_result)
-            )
-            continue
-        if format != "int":
-            layers[name] = FormatLinear.from_weight(
-                linear.weight.data, format, group_size
             )
             continue
         if isinstance(bits, dict):
@@ -168,7 +169,7 @@ def pack_model(
         else:
             layer_bits = int(bits)
         layers[name] = FormatLinear.from_weight(
-            linear.weight.data, "int", group_size, bits=layer_bits
+            linear.weight.data, layer_bits, group_size
         )
     quantized_keys = {f"{name}.weight" for name in quantizable}
     full_precision = {

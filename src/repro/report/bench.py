@@ -53,6 +53,7 @@ __all__ = [
     "best_of",
     "solver_bench_records",
     "eval_bench_records",
+    "FORMAT_BENCH_BITS",
     "format_bench_records",
     "calibration_bench_records",
     "serve_bench_records",
@@ -70,6 +71,10 @@ BENCH_SCHEMA_VERSION = 1
 
 #: Seed of every bench workload (recorded in each record's ``params``).
 SEED = 0
+
+#: Int widths timed by :func:`format_bench_records`; the format goldens
+#: pin the same widths.
+FORMAT_BENCH_BITS = (2, 3, 4, 8)
 
 #: Keys every record must carry (checked by :func:`validate_bench_report`).
 _RECORD_KEYS = ("name", "kind", "params", "timings", "speedup", "bit_identical")
@@ -308,7 +313,7 @@ def eval_bench_records(
     model = LlamaModel(config, seed=SEED)
     prompt = rng.integers(0, config.vocab_size, size=8)
     weight = rng.standard_normal((packed_size, packed_size))
-    layer = FormatLinear.from_weight(weight, "int4", group_size=32)
+    layer = FormatLinear.from_weight(weight, 4, group_size=32)
     x = rng.standard_normal((64, packed_size))
 
     def decode_per_call():
@@ -382,32 +387,32 @@ def eval_bench_records(
 
 
 def format_bench_records(repeats: int = 3, size: int = 512) -> list[dict]:
-    """Dequant/forward timing for every registered quant format.
+    """Dequant/forward timing of packed int layers at each stored width.
 
-    One ``format-forward-<name>-<N>x<N>`` record per registry entry of
-    :mod:`repro.quant.formats`: decode-then-matmul per call vs the
+    One ``format-forward-int<k>-<N>x<N>`` record per width of
+    :data:`FORMAT_BENCH_BITS`: decode-then-matmul per call vs the
     memoised dense reconstruction of
     :class:`~repro.quant.formats.FormatLinear`, with the bit-identity of
-    the two paths re-checked at measure time.  The registry completeness
-    test (``tests/test_quant_formats.py``) requires a record per format
-    in the committed artifact.
+    the two paths re-checked at measure time.  A completeness test
+    (``tests/test_bench_schema.py``) requires a record per width in the
+    committed artifact.
     """
-    from repro.quant.formats import FormatLinear, available_formats, get_format
+    from repro.quant.formats import FormatLinear, IntFormat
 
     rng = np.random.default_rng(SEED)
     weight = rng.standard_normal((size, size))
     x = rng.standard_normal((64, size))
     records = []
-    for name in available_formats():
-        fmt = get_format(name)
+    for bits in FORMAT_BENCH_BITS:
+        fmt = IntFormat(bits)
         tensor = fmt.encode(weight, 32)
         linear = FormatLinear.from_tensor(fmt, tensor)
         records.append(
             _measure(
-                f"format-forward-{name}-{size}x{size}",
+                f"format-forward-{fmt.name}-{size}x{size}",
                 "format-forward",
                 {
-                    "format": name,
+                    "format": fmt.name,
                     "d_in": size,
                     "d_out": size,
                     "bits": fmt.bits,

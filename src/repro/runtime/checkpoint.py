@@ -160,8 +160,9 @@ def load_checkpoint(
     ``key`` is the reserved array name the metadata was saved under.  With
     ``verify=True`` (default) the SHA-256 sidecar is checked first when
     present.  Raises :class:`CheckpointError` for any unreadable, truncated,
-    or metadata-less archive; ``FileNotFoundError`` passes through untouched
-    so "no checkpoint yet" stays distinguishable from "bad checkpoint".
+    or metadata-less archive, and for metadata that is not a JSON object;
+    ``FileNotFoundError`` passes through untouched so "no checkpoint yet"
+    stays distinguishable from "bad checkpoint".
     """
     path = Path(path)
     if not path.exists():
@@ -184,4 +185,9 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} carries corrupt metadata: {error}"
         ) from error
+    if not isinstance(meta, dict):
+        raise CheckpointError(
+            f"checkpoint {path} carries corrupt metadata: {key} is not a "
+            "JSON object"
+        )
     return raw, meta

@@ -1,20 +1,21 @@
-"""Shared conformance obligations every registered quant format must meet.
+"""Shared conformance obligations of the int-k storage format.
 
-``tests/test_quant_formats.py`` parametrizes these checks over the whole
-registry, and the hypothesis suite replays them on random geometries —
-one definition of "conforming format", used everywhere.  The obligations:
+``tests/test_quant_formats.py`` parametrizes these checks over
+:data:`CONFORMANCE_WIDTHS`, and the hypothesis suite replays them on
+random geometries — one definition of "conforming", used everywhere.
+The obligations:
 
 1. **Round trip within the declared bound** — ``decode(encode(w))`` never
-   deviates from ``w`` by more than ``error_bound(encode(w), w)``.  A
-   format may be lossy, but only by exactly as much as it declares.
+   deviates from ``w`` by more than ``error_bound(encode(w), w)``.  The
+   format is lossy, but only by exactly as much as it declares.
 2. **Pack/unpack byte-identity** — ``unpack_payload(pack_payload(t))``
    reproduces every field of the encoded tensor exactly, and re-packing
    the reconstruction yields byte-identical arrays and an identical
    header (so an archive survives arbitrarily many load/save cycles).
-3. **Code-domain safety** — every code sits in ``[0, n_codes - 1]`` with
-   ``n_codes <= 2**bits``, the precondition the ``Bits:`` contracts of
-   :func:`repro.quant.packing.pack_codes` and the LUT dequant paths
-   assume (PR-7's static range pass seeds from those contracts).
+3. **Code-domain safety** — every code sits in ``[0, 2**bits - 1]``,
+   the precondition the ``Bits:`` contracts of
+   :func:`repro.quant.packing.pack_codes` assume (the static range pass
+   seeds from those contracts).
 4. **Serialization** — the payload round-trips through
    :func:`repro.nn.serialize.save_arrays`/``load_arrays`` on disk,
    checksum sidecar included.
@@ -23,7 +24,20 @@ one definition of "conforming format", used everywhere.  The obligations:
 import numpy as np
 
 from repro.nn.serialize import load_arrays, save_arrays
-from repro.quant.formats import QuantFormat, QuantizedTensor
+from repro.quant.formats import IntFormat, QuantizedTensor
+from repro.report.bench import FORMAT_BENCH_BITS
+
+#: Widths whose payloads the format goldens pin: those the bench times.
+PINNED_WIDTHS = FORMAT_BENCH_BITS
+
+#: Every width the conformance suite runs: the pinned ones plus one
+#: width with no golden pin or bench record.
+CONFORMANCE_WIDTHS = PINNED_WIDTHS + (5,)
+
+
+def width_id(bits: int) -> str:
+    """Test id of one width: its header name (``int4``)."""
+    return f"int{bits}"
 
 #: Multiplicative + additive slack on the declared bound: covers only the
 #: float rounding of the bound computation itself, never a looser grid.
@@ -32,7 +46,7 @@ BOUND_ATOL = 1e-12
 
 
 def assert_round_trip_within_bound(
-    fmt: QuantFormat, weight: np.ndarray, group_size: int | None
+    fmt: IntFormat, weight: np.ndarray, group_size: int | None
 ) -> QuantizedTensor:
     """Obligation 1: reconstruction error never exceeds the declared bound."""
     tensor = fmt.encode(weight, group_size)
@@ -49,18 +63,15 @@ def assert_round_trip_within_bound(
     return tensor
 
 
-def assert_code_domain(fmt: QuantFormat, tensor: QuantizedTensor) -> None:
+def assert_code_domain(fmt: IntFormat, tensor: QuantizedTensor) -> None:
     """Obligation 3: codes honour the packing layer's ``Bits:`` contract."""
     assert tensor.codes.dtype == np.int64
-    assert 1 <= tensor.bits <= 16
-    assert 2 <= fmt.n_codes <= (1 << tensor.bits), (
-        f"{fmt.name}: n_codes {fmt.n_codes} does not fit {tensor.bits} bits"
-    )
+    assert tensor.bits == fmt.bits and 1 <= tensor.bits <= 16
     low = int(tensor.codes.min())
     high = int(tensor.codes.max())
-    assert 0 <= low and high < fmt.n_codes, (
+    assert 0 <= low and high < (1 << tensor.bits), (
         f"{fmt.name}: codes span [{low}, {high}] outside "
-        f"[0, {fmt.n_codes - 1}]"
+        f"[0, {(1 << tensor.bits) - 1}]"
     )
 
 
@@ -73,16 +84,12 @@ def assert_tensors_equal(a: QuantizedTensor, b: QuantizedTensor) -> None:
     assert np.array_equal(a.codes, b.codes)
     assert a.scales.dtype == b.scales.dtype
     assert np.array_equal(a.scales, b.scales)
-    for mine, theirs in ((a.zeros, b.zeros), (a.mask, b.mask)):
-        if mine is None:
-            assert theirs is None
-        else:
-            assert theirs is not None
-            assert np.array_equal(mine, theirs)
+    assert a.zeros.dtype == b.zeros.dtype
+    assert np.array_equal(a.zeros, b.zeros)
 
 
 def assert_payload_byte_identity(
-    fmt: QuantFormat, tensor: QuantizedTensor
+    fmt: IntFormat, tensor: QuantizedTensor
 ) -> None:
     """Obligation 2: pack → unpack → pack is byte-stable."""
     arrays, meta = fmt.pack_payload(tensor)
@@ -100,11 +107,11 @@ def assert_payload_byte_identity(
 
 
 def assert_serialize_round_trip(
-    fmt: QuantFormat, tensor: QuantizedTensor, tmp_path
+    fmt: IntFormat, tensor: QuantizedTensor, tmp_path
 ) -> None:
     """Obligation 4: the payload survives the checksummed ``.npz`` archive."""
     arrays, meta = fmt.pack_payload(tensor)
-    path = tmp_path / f"{fmt.name.replace('/', '_')}.npz"
+    path = tmp_path / f"{fmt.name}.npz"
     save_arrays(path, arrays, meta)
     assert path.with_name(path.name + ".sha256").exists()
     loaded_arrays, loaded_meta = load_arrays(path)
@@ -116,7 +123,7 @@ def assert_serialize_round_trip(
 
 
 def run_conformance(
-    fmt: QuantFormat,
+    fmt: IntFormat,
     weight: np.ndarray,
     group_size: int | None,
     tmp_path=None,

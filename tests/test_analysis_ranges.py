@@ -549,7 +549,6 @@ class TestBitsCoverage:
         [
             "repro/quant/packing.py",
             "repro/quant/formats.py",
-            "repro/quant/observer.py",
         ],
     )
     def test_public_functions_carry_bits_specs(self, rel):

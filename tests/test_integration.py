@@ -12,7 +12,6 @@ from repro.core.aptq import APTQConfig, aptq_quantize_model
 from repro.core.allocation import manual_blockwise_allocation
 from repro.data.tasks import build_task_suite
 from repro.eval.perplexity import perplexity
-from repro.eval.runner import evaluate_model
 from repro.eval.zeroshot import evaluate_suite
 from repro.quant.rtn import rtn_quantize_model
 from tests.conftest import clone
@@ -110,31 +109,6 @@ class TestZeroShotDegradation:
         q4_acc = evaluate_suite(q4, suite)
         assert q4_acc > 0.5  # still above chance
         assert q4_acc > fp_acc - 0.15  # small drop at 4 bits
-
-
-class TestEvaluateModelRunner:
-    def test_report_structure(self, trained_micro_model, eval_stream,
-                              single_corpus):
-        suite = build_task_suite(
-            "probe",
-            single_corpus.grammars[0],
-            single_corpus.tokenizer,
-            n_examples=10,
-            distractor="random",
-            seed=3,
-        )
-        report = evaluate_model(
-            trained_micro_model,
-            label="fp16",
-            average_bits=16.0,
-            eval_streams={"single-sim": eval_stream},
-            suites=[suite],
-            seq_len=32,
-        )
-        row = report.summary_row()
-        assert row["method"] == "fp16"
-        assert "ppl/single-sim" in row
-        assert "acc/probe" in row and "acc/mean" in row
 
 
 class TestDeterminism:

@@ -86,13 +86,11 @@ class TestRoundTrip:
     def test_unregistered_int_widths_round_trip(
         self, bits, packed_setup, tmp_path
     ):
-        # int5/6/7 are not registry entries; their archives must still
-        # load, to the exact same weights.
+        # int5/6/7 have no golden pin or bench record; their archives
+        # must still load, to the exact same weights.
         _, _, base = packed_setup
         layers = {
-            name: FormatLinear.from_weight(
-                layer.dequantize(), "int", 8, bits=bits
-            )
+            name: FormatLinear.from_weight(layer.dequantize(), bits, 8)
             for name, layer in base.layers.items()
         }
         packed = PackedModel(base.config, layers, base.full_precision)
@@ -159,28 +157,30 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError):
             PackedModel.load(path)
 
-    def test_format_rerounding_path(self, trained_micro_model, tmp_path):
-        # format= selects a registry entry for the re-rounding path; the
-        # packed layers are FormatLinear and survive save/load exactly.
-        packed = pack_model(
-            clone(trained_micro_model), bits=4, group_size=8, format="nf4"
-        )
-        assert all(
-            isinstance(layer, FormatLinear)
-            for layer in packed.layers.values()
-        )
-        loaded = PackedModel.load(packed.save(tmp_path / "nf4.npz"))
-        for name, layer in packed.layers.items():
-            assert loaded.layers[name].format_name == "nf4"
-            assert np.array_equal(
-                loaded.layers[name].dequantize(), layer.dequantize()
-            )
+    def test_non_int_layer_header_rejected(self, packed_setup, tmp_path):
+        # An archive is outside input: a layer header naming any format
+        # but int<bits> is refused before anything is decoded.
+        _, _, packed = packed_setup
+        name, layer = next(iter(packed.layers.items()))
+        payload = {
+            f"packed/{name}/{key}": array for key, array in layer.arrays.items()
+        }
+        header = {
+            "config": packed.config.to_dict(),
+            "layers": {name: {**layer.meta, "format": "nf4"}},
+        }
+        path = save_arrays(tmp_path / "nf4.npz", payload, header)
+        with pytest.raises(ValueError, match="only int<k> layers") as excinfo:
+            PackedModel.load(path)
+        assert name in str(excinfo.value) and "'nf4'" in str(excinfo.value)
 
-    def test_unknown_format_error_names_registry(self, trained_micro_model):
-        with pytest.raises(ValueError) as excinfo:
-            pack_model(clone(trained_micro_model), bits=4, format="int4.5")
-        message = str(excinfo.value)
-        assert "registered formats" in message and "sparse24" in message
+    def test_non_object_header_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "foreign.npz"
+        np.savez(
+            path, __meta_json__=np.frombuffer(b"[1, 2]", dtype=np.uint8)
+        )
+        with pytest.raises(CheckpointError, match="corrupt metadata"):
+            PackedModel.load(path)
 
     def test_missing_allocation_error_names_layer_and_coverage(
         self, trained_micro_model

@@ -1,10 +1,10 @@
-"""Golden regression pins for the format registry's encoded outputs.
+"""Golden regression pins for the int-k format's encoded outputs.
 
 Mirrors ``tests/test_quant_golden.py``: SHA-256 digests over the packed
-payload arrays (codes, grids, masks, exponents) and headers each format
-produces on a fixed seeded weight.  Any silent drift in an encoder — a
-changed code book, a different observer, a reordered tie-break, a new
-payload layout — flips a digest and fails tier-1.
+payload arrays (codes, scales, zeros), the header and the decoded weight
+each pinned width produces on a fixed seeded weight.  Any silent drift in
+the encoder — a changed grid fit, a reordered rounding, a new payload
+layout — flips a digest and fails tier-1.
 
 To intentionally re-pin after a *reviewed* format change::
 
@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.quant.formats import available_formats, get_format
+from format_conformance import PINNED_WIDTHS
+from repro.quant.formats import IntFormat
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "format_golden.json"
 
-#: Fixed case every format is pinned on: one seeded weight, one geometry
+#: Fixed case every width is pinned on: one seeded weight, one geometry
 #: with a remainder group.
 PIN_SHAPE = (48, 12)
 PIN_GROUP_SIZE = 10
@@ -39,20 +40,20 @@ def array_digest(array: np.ndarray) -> str:
 
 
 def compute_digests() -> dict[str, str]:
-    """Payload digests of every registered format on the fixed case."""
+    """Payload digests of every pinned width on the fixed case."""
     rng = np.random.default_rng(PIN_SEED)
     weight = rng.standard_normal(PIN_SHAPE)
     digests: dict[str, str] = {}
-    for name in available_formats():
-        fmt = get_format(name)
+    for bits in PINNED_WIDTHS:
+        fmt = IntFormat(bits)
         tensor = fmt.encode(weight, PIN_GROUP_SIZE)
         arrays, meta = fmt.pack_payload(tensor)
         for key in sorted(arrays):
-            digests[f"{name}/{key}"] = array_digest(arrays[key])
-        digests[f"{name}/__meta__"] = hashlib.sha256(
+            digests[f"{fmt.name}/{key}"] = array_digest(arrays[key])
+        digests[f"{fmt.name}/__meta__"] = hashlib.sha256(
             json.dumps(meta, sort_keys=True).encode()
         ).hexdigest()
-        digests[f"{name}/decoded"] = array_digest(fmt.decode(tensor))
+        digests[f"{fmt.name}/decoded"] = array_digest(fmt.decode(tensor))
     return digests
 
 
@@ -69,19 +70,9 @@ def test_format_golden_digests_unchanged():
         if pinned.get(key) != current.get(key)
     )
     assert not drifted, (
-        "format encoders drifted from the golden pins "
+        "the int format drifted from the golden pins "
         f"(keys: {drifted}); if the change is intentional and reviewed, "
         "re-pin with `python tests/test_quant_format_golden.py --regen`"
-    )
-
-
-def test_golden_covers_every_registered_format():
-    pinned = json.loads(GOLDEN_PATH.read_text())
-    pinned_formats = {key.split("/", 1)[0] for key in pinned}
-    missing = sorted(set(available_formats()) - pinned_formats)
-    assert missing == [], (
-        f"registered formats without golden pins: {missing}; re-pin with "
-        "`python tests/test_quant_format_golden.py --regen`"
     )
 
 

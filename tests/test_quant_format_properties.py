@@ -1,24 +1,20 @@
-"""Hypothesis property tests for the quant format registry.
+"""Hypothesis property tests for the int-k storage format.
 
 Random weight geometries — including non-dividing group sizes,
 single-element groups, single-row/column matrices, and adversarial value
 distributions — replay the shared conformance obligations of
-``tests/format_conformance.py`` on every registered format, plus the
+``tests/format_conformance.py`` on every conformance width, plus the
 invariants hypothesis is uniquely good at: pack/unpack byte-identity
-under arbitrary geometry, the int family's bit-identity with
-first-principles affine dequantization, and the 2:4 structural guarantee.
+under arbitrary geometry and bit-identity with first-principles affine
+dequantization at any width.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from format_conformance import run_conformance
-from repro.quant.formats import (
-    available_formats,
-    get_format,
-    resolve_format,
-)
+from format_conformance import CONFORMANCE_WIDTHS, run_conformance
+from repro.quant.formats import IntFormat
 from repro.quant.groupwise import group_of_row, quantize_groupwise
 
 
@@ -45,11 +41,11 @@ def weight_cases(draw):
 
 
 class TestConformanceProperties:
-    @given(case=weight_cases(), name=st.sampled_from(available_formats()))
+    @given(case=weight_cases(), bits=st.sampled_from(CONFORMANCE_WIDTHS))
     @settings(max_examples=60, deadline=None)
-    def test_obligations_hold_on_random_geometry(self, case, name):
+    def test_obligations_hold_on_random_geometry(self, case, bits):
         weight, group_size = case
-        run_conformance(get_format(name), weight, group_size)
+        run_conformance(IntFormat(bits), weight, group_size)
 
     @given(
         case=weight_cases(),
@@ -58,7 +54,7 @@ class TestConformanceProperties:
     @settings(max_examples=40, deadline=None)
     def test_int_family_bit_identical_to_legacy_layer(self, case, bits):
         weight, group_size = case
-        fmt = resolve_format("int", bits)
+        fmt = IntFormat(bits)
         tensor = fmt.encode(weight, group_size)
         # Oracle: quantize_groupwise codes on fp16-cast grids, decoded as
         # (codes - z[rows]) * s[rows] in float64.
@@ -72,18 +68,3 @@ class TestConformanceProperties:
         assert np.array_equal(tensor.codes, reference.codes)
         assert np.array_equal(fmt.decode(tensor), dense)
         run_conformance(fmt, weight, group_size)
-
-    @given(case=weight_cases())
-    @settings(max_examples=40, deadline=None)
-    def test_sparse_mask_structure_any_geometry(self, case):
-        weight, group_size = case
-        fmt = get_format("sparse24")
-        tensor = fmt.encode(weight, group_size)
-        mask = tensor.mask
-        d_in = weight.shape[0]
-        full = (d_in // 4) * 4
-        if full:
-            per_block = mask[:full].reshape(-1, 4, weight.shape[1]).sum(axis=1)
-            assert np.all(per_block == 2)
-        assert mask[full:].all()
-        assert np.all(fmt.decode(tensor)[~mask] == 0.0)

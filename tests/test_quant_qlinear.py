@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quant.formats import FormatLinear, IntFormat, available_formats
+from format_conformance import CONFORMANCE_WIDTHS, width_id
+from repro.quant.formats import FormatLinear, IntFormat
 from repro.quant.groupwise import quantize_groupwise
 
 
@@ -79,14 +80,14 @@ class TestRoundTrip:
 
     def test_from_weight_convenience(self, rng):
         w = rng.normal(size=(32, 8))
-        layer = FormatLinear.from_weight(w, "int", 16, bits=2)
+        layer = FormatLinear.from_weight(w, 2, 16)
         assert layer.bits == 2
         assert layer.shape == (32, 8)
         assert layer.format_name == "int2"
 
     def test_forward_matches_dequantized_matmul(self, rng):
         w = rng.normal(size=(16, 6))
-        layer = FormatLinear.from_weight(w, "int4", 8)
+        layer = FormatLinear.from_weight(w, 4, 8)
         x = rng.normal(size=(5, 16))
         assert np.allclose(layer.forward_array(x), x @ layer.dequantize())
 
@@ -96,7 +97,7 @@ class TestLutAndCache:
 
     def test_forward_reuses_cached_weight(self, rng):
         w = rng.normal(size=(32, 8))
-        layer = FormatLinear.from_weight(w, "int4", 16)
+        layer = FormatLinear.from_weight(w, 4, 16)
         x = rng.normal(size=(3, 32))
         layer.forward_array(x)
         cached = layer._dense_cache
@@ -106,7 +107,7 @@ class TestLutAndCache:
 
     def test_cache_invalidated_on_mutation(self, rng):
         w = rng.normal(size=(32, 8))
-        layer = FormatLinear.from_weight(w, "int4", 16)
+        layer = FormatLinear.from_weight(w, 4, 16)
         x = rng.normal(size=(3, 32))
         before = layer.forward_array(x)
         layer.arrays["codes"][0] ^= np.uint32(0b1111)  # flip the first code
@@ -123,7 +124,7 @@ class TestLutAndCache:
         # The memoized dense weight is returned by reference on every
         # forward; writing through it would poison all later calls.
         w = rng.normal(size=(32, 8))
-        layer = FormatLinear.from_weight(w, "int4", 16)
+        layer = FormatLinear.from_weight(w, 4, 16)
         layer.forward_array(rng.normal(size=(3, 32)))
         assert not layer._dense_cache.flags.writeable
         with pytest.raises(ValueError):
@@ -131,18 +132,18 @@ class TestLutAndCache:
 
     def test_dequantize_returns_writable_copy(self, rng):
         w = rng.normal(size=(16, 4))
-        layer = FormatLinear.from_weight(w, "int4", 8)
+        layer = FormatLinear.from_weight(w, 4, 8)
         dense = layer.dequantize()
         dense[0, 0] = 123.0  # must not poison the cache
         assert layer.dequantize()[0, 0] != 123.0
         assert np.array_equal(layer.dequantize(), uncached_decode(layer))
 
-    @pytest.mark.parametrize("name", available_formats() + ("int5",))
-    def test_state_is_payload_only(self, name, rng):
+    @pytest.mark.parametrize("bits", CONFORMANCE_WIDTHS, ids=width_id)
+    def test_state_is_payload_only(self, bits, rng):
         # The packed payload is the layer's only array state: no unpacked
         # int64 codes ride along (8 bytes per weight).  The format object
-        # is the shared registry value, not per-layer state.
-        layer = FormatLinear.from_weight(rng.normal(size=(24, 6)), name, 8)
+        # holds no arrays.
+        layer = FormatLinear.from_weight(rng.normal(size=(24, 6)), bits, 8)
 
         def stray():
             return sorted(
@@ -159,19 +160,19 @@ class TestLutAndCache:
 class TestStorage:
     def test_4bit_compression_ratio(self, rng):
         w = rng.normal(size=(256, 256))
-        layer = FormatLinear.from_weight(w, "int4", 32)
+        layer = FormatLinear.from_weight(w, 4, 32)
         # fp16 dense = 128 KiB; 4-bit codes = 32 KiB + grids.
         assert 3.0 < w.size * 2 / layer.storage_bytes() < 4.0
 
     def test_2bit_smaller_than_4bit(self, rng):
         w = rng.normal(size=(256, 64))
-        q2 = FormatLinear.from_weight(w, "int2", 32)
-        q4 = FormatLinear.from_weight(w, "int4", 32)
+        q2 = FormatLinear.from_weight(w, 2, 32)
+        q4 = FormatLinear.from_weight(w, 4, 32)
         assert q2.storage_bytes() < q4.storage_bytes()
 
     def test_storage_bytes_accounting(self, rng):
         w = rng.normal(size=(64, 10))
-        layer = FormatLinear.from_weight(w, "int4", 32)
+        layer = FormatLinear.from_weight(w, 4, 32)
         expected_codes = (64 * 10 * 4 + 31) // 32 * 4
         expected_grids = 2 * (2 * 10) * 2
         assert layer.storage_bytes() == expected_codes + expected_grids

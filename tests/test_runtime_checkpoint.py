@@ -26,6 +26,15 @@ from tests.conftest import MICRO_CONFIG
 from repro.nn.transformer import LlamaModel
 
 
+def save_json_entry(path, key, text):
+    """A foreign ``.npz`` whose reserved ``key`` holds the JSON ``text``."""
+    np.savez(
+        path,
+        weight=np.zeros((2, 2)),
+        **{key: np.frombuffer(text.encode(), dtype=np.uint8)},
+    )
+
+
 class TestAtomicWrites:
     def test_write_and_no_temp_residue(self, tmp_path):
         target = tmp_path / "sub" / "blob.bin"
@@ -125,6 +134,13 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="__checkpoint_json__"):
             load_checkpoint(target)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_non_object_metadata_raises(self, tmp_path, text):
+        target = tmp_path / "foreign.npz"
+        save_json_entry(target, "__checkpoint_json__", text)
+        with pytest.raises(CheckpointError, match="corrupt metadata"):
+            load_checkpoint(target)
+
 
 class TestModelSerialization:
     def test_save_writes_sidecar_and_roundtrips(self, tmp_path, micro_model):
@@ -149,6 +165,12 @@ class TestModelSerialization:
         target = tmp_path / "model.npz"
         np.savez(target, weight=np.zeros((2, 2)))
         with pytest.raises(CheckpointError, match="__config_json__"):
+            load_state_dict(target)
+
+    def test_non_object_config_raises(self, tmp_path):
+        target = tmp_path / "model.npz"
+        save_json_entry(target, "__config_json__", "[1, 2]")
+        with pytest.raises(CheckpointError, match="corrupt metadata"):
             load_state_dict(target)
 
     def test_missing_file_stays_file_not_found(self, tmp_path):

@@ -178,6 +178,26 @@ class TestResumeGuards:
         assert result.health.by_category("resume") == ()
         assert len(result.layer_results) == 14
 
+    def test_non_object_metadata_restarts_fresh_with_warning_event(
+        self, trained_micro_model, calibration, tmp_path
+    ):
+        checkpoint = tmp_path / "foreign.npz"
+        np.savez(
+            checkpoint,
+            __checkpoint_json__=np.frombuffer(b"[1, 2]", dtype=np.uint8),
+        )
+        model = clone(trained_micro_model)
+        result = aptq_quantize_model(
+            model, calibration,
+            APTQConfig(checkpoint_path=checkpoint, resume=True,
+                       ratio_4bit=1.0, group_size=8, n_probes=2, seed=0),
+        )
+        warnings_ = result.health.by_category("warning")
+        assert len(warnings_) == 1
+        assert "corrupt metadata" in warnings_[0].message
+        assert result.health.by_category("resume") == ()
+        assert len(result.layer_results) == 14
+
     def test_resumed_run_screens_calibration_batches(self, calibration,
                                                      tmp_path):
         # A resumed run skips the sensitivity pass, so the capture stream

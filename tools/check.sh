@@ -24,9 +24,10 @@ python -m pytest -x -q tests/test_quant_differential.py \
     tests/test_data_streams.py tests/test_core_working_set.py \
     tests/test_quant_sequential.py
 
-echo "== format conformance (registry zoo: round trip, pack, goldens) =="
+echo "== format conformance (int-k storage: round trip, pack, goldens) =="
 python -m pytest -x -q tests/test_quant_formats.py \
-    tests/test_quant_format_properties.py tests/test_quant_format_golden.py
+    tests/test_quant_format_properties.py tests/test_quant_format_golden.py \
+    tests/test_quant_qlinear.py tests/test_quant_deploy.py
 
 # test_nn_kvcache.py holds the decode-step contracts replay rests on:
 # fresh-cache prefill identity, company/geometry invariance, stale-block
