@@ -89,7 +89,10 @@ class APTQConfig:
     hessian_mode: str = "probed"
     # Override the sensitivity-driven allocation with an explicit per-layer
     # bit map (used by the manual block-wise ablation of Table 3): one int
-    # width in [1, 16] for every quantizable layer, and no other key.
+    # width in [1, 16] for every quantizable layer, and no other key.  The
+    # Hessian traces only choose the allocation, so an overridden run skips
+    # the sensitivity pass (its result's ``sensitivities`` is empty); the
+    # quantized weights are those of a run that chose the same allocation.
     allocation_override: dict[str, int] | None = None
     # Fault tolerance: write an atomic per-block checkpoint here, and with
     # resume=True continue an interrupted run from its first incomplete block.
@@ -105,7 +108,12 @@ class APTQConfig:
 
 @dataclasses.dataclass
 class APTQResult:
-    """Everything a run produces, for analysis and reporting."""
+    """Everything a run produces, for analysis and reporting.
+
+    ``sensitivities`` holds every layer's Hessian-trace record, or is
+    empty when ``allocation_override`` fixed the allocation (no
+    sensitivity pass ran).
+    """
 
     allocation: dict[str, int]
     sensitivities: dict[str, LayerSensitivity]
@@ -418,7 +426,8 @@ def aptq_quantize_model(
     # Step 2's sensitivity metric is computed first, on the full-precision
     # model (Algorithm 1 computes traces during the 4-bit pass, before any
     # requantization decisions are applied).  A resumed run restores the
-    # sensitivities, allocation, and partially quantized weights instead.
+    # sensitivities, allocation, and partially quantized weights instead;
+    # a run with ``allocation_override`` computes no sensitivities.
     # ------------------------------------------------------------------
     layer_results: dict[str, SolverResult]
     fp_hessian_cache: dict[int, AttentionHessians | KronAttentionHessians] = {}
@@ -441,19 +450,23 @@ def aptq_quantize_model(
     else:
         start_block = 0
         layer_results = {}
-        sensitivities = compute_sensitivities(
-            model,
-            calibration,
-            n_probes=config.n_probes,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            attention_cache=fp_hessian_cache,
-            hessian_mode=config.hessian_mode,
-            workers=config.workers,
-        )
         if config.allocation_override is not None:
+            # The traces only choose the allocation (Eq. (18)); a fixed
+            # one needs none of them, so the pass is skipped and block 0
+            # is captured by the loop below, as on a resumed run.
+            sensitivities = {}
             allocation = dict(config.allocation_override)
         else:
+            sensitivities = compute_sensitivities(
+                model,
+                calibration,
+                n_probes=config.n_probes,
+                batch_size=config.batch_size,
+                seed=config.seed,
+                attention_cache=fp_hessian_cache,
+                hessian_mode=config.hessian_mode,
+                workers=config.workers,
+            )
             allocation = allocate_bits_by_sensitivity(
                 sensitivities,
                 config.ratio_4bit,
@@ -495,7 +508,7 @@ def aptq_quantize_model(
         # Block 0 reuses the sensitivity pass's Hessians: before it is
         # quantized the model is the pass's model, with the same batches
         # and seed, so they are bit-identical to a fresh capture.  A
-        # resumed run skipped the pass and has none.
+        # resumed or overridden run skipped the pass and has none.
         if block_index == 0 and block0_hessians is not None:
             hessians, block0_hessians = block0_hessians, None
         else:

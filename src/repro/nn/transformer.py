@@ -17,7 +17,13 @@ from repro.nn.attention import (
 from repro.nn.config import LlamaConfig
 from repro.nn.modules import Embedding, Linear, Module, RMSNorm
 
-__all__ = ["sample_token", "SwiGLU", "TransformerBlock", "LlamaModel"]
+__all__ = [
+    "sample_token",
+    "quantizable_layer_names",
+    "SwiGLU",
+    "TransformerBlock",
+    "LlamaModel",
+]
 
 
 def sample_token(
@@ -32,6 +38,35 @@ def sample_token(
         return int(np.argmax(logits))
     probs = F.softmax(logits / temperature)
     return int(rng.choice(probs.size, p=probs))
+
+
+#: The seven matrices per block that the paper quantizes, in forward order.
+_BLOCK_PROJECTIONS = (
+    "self_attn.q_proj",
+    "self_attn.k_proj",
+    "self_attn.v_proj",
+    "self_attn.o_proj",
+    "mlp.gate_proj",
+    "mlp.up_proj",
+    "mlp.down_proj",
+)
+
+
+def quantizable_layer_names(config: LlamaConfig) -> list[str]:
+    """Dotted names of the weight matrices a model of ``config`` quantizes.
+
+    Embeddings and norms stay full precision (as in GPTQ/APTQ); every
+    block contributes its q/k/v/o projections and its three SwiGLU
+    projections, and an untied ``lm_head`` comes last.
+    """
+    names = [
+        f"blocks.{index}.{projection}"
+        for index in range(config.n_layers)
+        for projection in _BLOCK_PROJECTIONS
+    ]
+    if not config.tie_embeddings:
+        names.append("lm_head")
+    return names
 
 
 class SwiGLU(Module):
@@ -331,22 +366,7 @@ class LlamaModel(Module):
         return np.asarray(sequence, dtype=np.int64)
 
     def quantizable_linears(self) -> dict[str, Linear]:
-        """All weight matrices the paper quantizes, keyed by dotted name.
-
-        Embeddings and norms stay full precision (as in GPTQ/APTQ); the
-        seven matrices per block are q/k/v/o projections and the three
-        SwiGLU projections.
-        """
-        layers: dict[str, Linear] = {}
-        for index, block in enumerate(self.blocks):
-            attn = block.self_attn
-            layers[f"blocks.{index}.self_attn.q_proj"] = attn.q_proj
-            layers[f"blocks.{index}.self_attn.k_proj"] = attn.k_proj
-            layers[f"blocks.{index}.self_attn.v_proj"] = attn.v_proj
-            layers[f"blocks.{index}.self_attn.o_proj"] = attn.o_proj
-            layers[f"blocks.{index}.mlp.gate_proj"] = block.mlp.gate_proj
-            layers[f"blocks.{index}.mlp.up_proj"] = block.mlp.up_proj
-            layers[f"blocks.{index}.mlp.down_proj"] = block.mlp.down_proj
-        if self.lm_head is not None:
-            layers["lm_head"] = self.lm_head
-        return layers
+        """All weight matrices the paper quantizes, keyed by dotted name
+        (:func:`quantizable_layer_names`, in that order)."""
+        modules = dict(self.named_modules())
+        return {name: modules[name] for name in quantizable_layer_names(self.config)}

@@ -10,7 +10,7 @@ Two paths feed the hooks:
 
 * :func:`collect_input_stats` — one full-model forward per batch; the
   statistics of a model whose weights stay put (SmoothQuant, the
-  sensitivity pass, an untied ``lm_head``).
+  sensitivity pass, APTQ's untied ``lm_head``).
 * :class:`CalibrationCaptureStream` — caches every batch's running hidden
   state and advances it one block at a time, for the sequential protocol
   that quantizes block ``i`` before measuring block ``i+1``
@@ -227,7 +227,9 @@ class CalibrationCaptureStream:
 
     :meth:`block_input_stats` serves the same cached hidden states to an
     :class:`InputCollector`: block ``i``'s layer-input statistics from one
-    block forward per batch, instead of a full-model forward.
+    block forward per batch, instead of a full-model forward;
+    :meth:`head_input_stats` does the same for an untied ``lm_head`` after
+    the last block.
 
     Requests are forward-only: each asks for a block past the last one
     requested, except that a block's statistics may follow its captures.
@@ -282,6 +284,14 @@ class CalibrationCaptureStream:
         """Block ``block_index``'s cached inputs, advancing the stream."""
         if not 0 <= block_index < len(self.model.blocks):
             raise IndexError(f"block index {block_index} out of range")
+        return self._advance(block_index, floor)
+
+    def _advance(self, block_index: int, floor: int) -> list[np.ndarray]:
+        """The cached hidden states entering block ``block_index``.
+
+        ``block_index == len(model.blocks)`` is the last block's output,
+        the input of ``final_norm``.
+        """
         if block_index < floor:
             raise ValueError(
                 f"capture stream is forward-only: block {block_index} "
@@ -337,20 +347,54 @@ class CalibrationCaptureStream:
         the same batches.
         """
         inputs = self._inputs_of(block_index, self._min_stats)
-        block = self.model.blocks[block_index]
-        outputs = []
-        with InputCollector(layers) as collector:
-            for index, x in enumerate(inputs):
-                collector.current_batch = index
-                outputs.append(block.forward_array(x))
-                # Activation arrays are batch-local: release the one the Gram
-                # cache pins, so it does not outlive its batch.
-                collector.gram_cache.reset()
-            collector.current_batch = None
+        outputs, stats = _collect(
+            layers, inputs, self.model.blocks[block_index].forward_array
+        )
         if self.frozen:
             self._outputs = outputs
         self._min_capture = self._min_stats = block_index + 1
-        return collector.stats
+        return stats
+
+    def head_input_stats(self) -> dict[str, InputStats]:
+        """Input statistics of an untied ``lm_head``, from the stream.
+
+        Advances past the last block (with its weights as they stand),
+        applies ``final_norm`` and feeds the head: bitwise what
+        :func:`collect_input_stats` gathers for ``lm_head`` from a
+        full-model forward of the same batches.  Ends the stream.
+        """
+        head = self.model.lm_head
+        if head is None:
+            raise ValueError("the model ties its output embedding")
+        n_blocks = len(self.model.blocks)
+        inputs = self._advance(n_blocks, self._min_stats)
+        final_norm = self.model.final_norm
+        _, stats = _collect(
+            {"lm_head": head},
+            inputs,
+            lambda x: head.forward_array(final_norm.forward_array(x)),
+        )
+        self._min_capture = self._min_stats = n_blocks + 1
+        return stats
+
+
+def _collect(
+    layers: dict[str, Linear], inputs: list[np.ndarray], forward
+) -> tuple[list[np.ndarray], dict[str, InputStats]]:
+    """Run ``forward`` over each batch's ``inputs`` with ``layers`` hooked.
+
+    Returns the per-batch outputs and the layers' statistics.
+    """
+    outputs = []
+    with InputCollector(layers) as collector:
+        for index, x in enumerate(inputs):
+            collector.current_batch = index
+            outputs.append(forward(x))
+            # Activation arrays are batch-local: release the one the Gram
+            # cache pins, so it does not outlive its batch.
+            collector.gram_cache.reset()
+        collector.current_batch = None
+    return outputs, collector.stats
 
 
 def sequential_input_stats(
@@ -363,14 +407,13 @@ def sequential_input_stats(
     generator is lazy — a group is measured when the caller asks for it —
     and one deferred :class:`CalibrationCaptureStream` serves every block,
     so a run costs ``2L - 1`` block forwards per batch instead of a
-    full-model forward per block.  Layers outside the blocks (an untied
-    ``lm_head``) come last, from one :func:`collect_input_stats` forward.
+    full-model forward per block.  An untied ``lm_head`` comes last, from
+    the same stream: one more block forward per batch and the final norm.
     Every group is bitwise what :func:`collect_input_stats` would gather
     at that point.
     """
     layers = model.quantizable_linears()
     stream = CalibrationCaptureStream(model, segments, batch_size=batch_size)
-    in_blocks: set[str] = set()
     for block_index in range(len(model.blocks)):
         prefix = f"blocks.{block_index}."
         group = {
@@ -378,10 +421,6 @@ def sequential_input_stats(
             for name, linear in layers.items()
             if name.startswith(prefix)
         }
-        in_blocks.update(group)
         yield list(group), stream.block_input_stats(block_index, group)
-    rest = [name for name in layers if name not in in_blocks]
-    if rest:
-        yield rest, collect_input_stats(
-            model, segments, layer_names=rest, batch_size=batch_size
-        )
+    if model.lm_head is not None:
+        yield ["lm_head"], stream.head_input_stats()

@@ -13,8 +13,9 @@ reconstructs a runnable :class:`~repro.nn.transformer.LlamaModel` whose
 weights equal the packed representation exactly.  The on-disk archive is
 written through :func:`repro.nn.serialize.save_arrays`, so it is atomic
 and checksummed like every other checkpoint in the repo.  An archive is
-input from outside the program: :meth:`PackedModel.load` accepts only
-``int<k>`` layer headers.
+input from outside the program: :meth:`PackedModel.load` accepts only a
+header that names every quantizable layer of its config, ``int<k>``
+layer headers and finite grids.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.nn.config import LlamaConfig
 from repro.nn.serialize import load_arrays, save_arrays
-from repro.nn.transformer import LlamaModel
+from repro.nn.transformer import LlamaModel, quantizable_layer_names
 from repro.quant.formats import FormatLinear, IntFormat
 
 __all__ = ["PackedModel", "pack_model"]
@@ -90,8 +91,18 @@ class PackedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PackedModel":
-        """Inverse of :meth:`save`."""
+        """Inverse of :meth:`save`.
+
+        The archive is checked before anything is decoded: its header
+        must carry ``config`` and ``layers``, ``layers`` must name exactly
+        the quantizable layers of the config's model, and every layer's
+        scales and zeros must be finite; otherwise a ``ValueError`` names
+        the field.
+        """
         raw, header = load_arrays(path)
+        for field in ("config", "layers"):
+            if field not in header:
+                raise ValueError(f"packed artifact header lacks {field!r}")
         config = LlamaConfig.from_dict(header["config"])
         layers: dict[str, FormatLinear] = {}
         for name, meta in header["layers"].items():
@@ -101,9 +112,23 @@ class PackedModel:
                 for key, array in raw.items()
                 if key.startswith(prefix)
             }
+            for grid in ("scales", "zeros"):
+                if grid in arrays and not np.isfinite(arrays[grid]).all():
+                    raise ValueError(
+                        f"packed layer {name!r} has non-finite {grid}"
+                    )
             fmt = _header_format(name, meta)
             layers[name] = FormatLinear(
                 fmt, arrays, {"format": fmt.name, **meta}
+            )
+        expected = quantizable_layer_names(config)
+        missing = sorted(set(expected) - set(layers))
+        unknown = sorted(set(layers) - set(expected))
+        if missing or unknown:
+            raise ValueError(
+                "packed artifact header 'layers' must name exactly the "
+                "quantizable layers of its config; missing "
+                f"{missing}, unknown {unknown}"
             )
         full_precision = {
             key[len("fp/"):]: raw[key]

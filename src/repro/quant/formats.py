@@ -30,6 +30,27 @@ from repro.quant.packing import pack_codes, unpack_codes
 __all__ = ["QuantizedTensor", "IntFormat", "FormatLinear"]
 
 
+def _fp16_grid(kind: str, values: np.ndarray) -> np.ndarray:
+    """``values`` cast to the fp16 of the stored grids.
+
+    A value the cast would turn into ``inf`` (or one that is not finite)
+    raises a ``ValueError`` naming the largest offender, so no grid that
+    decodes to NaN is ever packed.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        stored = values.astype(np.float16)
+    bad = ~np.isfinite(stored)
+    if bad.any():
+        worst = float(np.max(np.abs(values[bad])))
+        raise ValueError(
+            f"group {kind} {worst:g} does not fit the fp16 grid (largest "
+            f"finite {float(np.finfo(np.float16).max):g}); the layer "
+            "cannot be stored"
+        )
+    return stored
+
+
 @dataclasses.dataclass
 class QuantizedTensor:
     """One weight matrix encoded as int-k group codes.
@@ -102,8 +123,8 @@ class IntFormat:
         return QuantizedTensor(
             format=self.name,
             codes=result.codes,
-            scales=result.scales.astype(np.float16),
-            zeros=result.zeros.astype(np.float16),
+            scales=_fp16_grid("scale", result.scales),
+            zeros=_fp16_grid("zero", result.zeros),
             bits=self.bits,
             group_size=result.group_size,
             shape=result.codes.shape,

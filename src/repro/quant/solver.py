@@ -36,6 +36,12 @@ because it sums error vectors whose trailing ulps depend on the schedule):
   into the rest of its ``blocksize`` block with one small matrix product,
   and each block flushes into the trailing matrix with one rank-``B``
   product (a single BLAS GEMM instead of ``B`` full-width rank-1 passes).
+  It sweeps a stack of same-shaped tasks at once (a leading task axis,
+  one Hessian factor, width, damping and scale per task — a block's
+  per-head Q/K/V slices, say): each row step runs once for the stack, and
+  every task's arithmetic is elementwise, reduced along its own rows, or
+  one BLAS product of its own, so each task's output is bitwise that of
+  its own 2-D call.
 
 Both schedules quantize against **static group grids**: every group's
 scale/zero-point is fitted up front on the dead-channel-zeroed original
@@ -314,15 +320,24 @@ def _sweep_reference(
 def _sweep_blocked(
     working: np.ndarray,
     inv_upper: np.ndarray,
-    grids: list[QuantParams],
+    scales: np.ndarray,
+    zeros: np.ndarray,
+    n_levels: np.ndarray,
     group_size: int,
     blocksize: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-level lazy-batch sweep (see module docstring).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-level lazy-batch sweep of a task stack (see module docstring).
 
+    ``working`` is ``(T, d_in, d_out)`` and ``inv_upper`` ``(T, d_in,
+    d_in)``; ``scales``/``zeros`` are the tasks' static grids ``(T,
+    n_groups, d_out)`` and ``n_levels`` their largest codes ``(T, 1)``.
     Rank-1 updates touch at most ``MICRO_BLOCKSIZE`` rows; each tile then
     flushes its accumulated errors into the rest of the block, and each
     block flushes into the trailing matrix, with single matrix products.
+    Every operation is elementwise per task, a reduction along one task's
+    row, or one ``matmul`` per task slice, so each task's arithmetic is
+    that of its own one-task sweep.  Returns the dequantized stack, the
+    codes and each task's ``compensated_loss``.
 
     Bits:
         working: f64
@@ -331,152 +346,231 @@ def _sweep_blocked(
         blocksize: i64[1, *]
         return: any
     """
-    d_in, d_out = working.shape
+    n_tasks, d_in, d_out = working.shape
     quantized = np.empty_like(working)
-    codes = np.empty((d_in, d_out), dtype=np.int64)
-    loss = 0.0
+    codes = np.empty(working.shape, dtype=np.int64)
+    diagonal = np.diagonal(inv_upper, axis1=1, axis2=2)[:, :, None]
+    # Row-wise squared errors, summed in row order at the end exactly as a
+    # running ``loss += 0.5 * err_sq`` would.
+    half_sq = np.empty((d_in, n_tasks))
     for block_start in range(0, d_in, blocksize):
         block_end = min(block_start + blocksize, d_in)
         count = block_end - block_start
-        block_weight = working[block_start:block_end].copy()
+        block_weight = working[:, block_start:block_end].copy()
         block_errors = np.empty_like(block_weight)
-        block_inv = inv_upper[block_start:block_end, block_start:block_end]
+        block_inv = inv_upper[:, block_start:block_end, block_start:block_end]
         for micro_start in range(0, count, MICRO_BLOCKSIZE):
             micro_end = min(micro_start + MICRO_BLOCKSIZE, count)
             for local in range(micro_start, micro_end):
                 row = block_start + local
-                params = grids[row // group_size]
-                row_codes = quantize(block_weight[local], params)
-                row_quant = dequantize(row_codes, params)
-                codes[row] = row_codes
-                quantized[row] = row_quant
-                err = (block_weight[local] - row_quant) / block_inv[local, local]
+                scale = scales[:, row // group_size]
+                zero = zeros[:, row // group_size]
+                row_weight = block_weight[:, local]
+                # repro.quant.uniform.quantize / dequantize, per task grid.
+                row_codes = np.clip(
+                    np.round(row_weight / scale + zero), 0, n_levels
+                ).astype(np.int64)
+                row_quant = (row_codes - zero) * scale
+                codes[:, row] = row_codes
+                quantized[:, row] = row_quant
+                err = (row_weight - row_quant) / diagonal[:, row]
                 # Tile flushes run in the fixed row/tile/block order the
                 # sweep defines; bit-identity against _sweep_reference is
                 # pinned by tests/test_quant_differential.py.
-                loss += 0.5 * float((err**2).sum())
+                half_sq[row] = 0.5 * (err**2).sum(axis=1)
                 if local + 1 < micro_end:
-                    block_weight[local + 1 : micro_end] -= np.outer(
-                        block_inv[local, local + 1 : micro_end], err
+                    block_weight[:, local + 1 : micro_end] -= (
+                        block_inv[:, local, local + 1 : micro_end, None]
+                        * err[:, None, :]
                     )
-                block_errors[local] = err
+                block_errors[:, local] = err
             # Flush the tile's errors into the rest of the block.
             if micro_end < count:
-                block_weight[micro_end:] -= (
-                    block_inv[micro_start:micro_end, micro_end:].T
-                    @ block_errors[micro_start:micro_end]
+                block_weight[:, micro_end:] -= np.matmul(
+                    block_inv[:, micro_start:micro_end, micro_end:].transpose(
+                        0, 2, 1
+                    ),
+                    block_errors[:, micro_start:micro_end],
                 )
         # Lazy-batched rank-B compensation of all rows after the block.
         if block_end < d_in:
-            working[block_end:] -= (
-                inv_upper[block_start:block_end, block_end:].T @ block_errors
+            working[:, block_end:] -= np.matmul(
+                inv_upper[:, block_start:block_end, block_end:].transpose(
+                    0, 2, 1
+                ),
+                block_errors,
             )
-    return quantized, codes, loss
+    return quantized, codes, np.cumsum(half_sq, axis=0)[-1]
+
+
+def _task_factor(
+    hessian: np.ndarray | HessianFactor,
+    d_in: int,
+    percdamp: float,
+    cache: HessianFactorCache | None,
+    hessian_scale: float,
+) -> HessianFactor:
+    """The factor one task sweeps with: a settled factor as given, else
+    the (cached) factorization of ``hessian_scale · hessian``."""
+    settled = isinstance(hessian, HessianFactor)
+    shape = hessian.inv_upper.shape if settled else np.shape(hessian)
+    if shape != (d_in, d_in):
+        raise ValueError(f"hessian shape {shape} does not match d_in={d_in}")
+    if settled:
+        return hessian
+    if cache is not None:
+        return cache.scaled_factor(hessian, hessian_scale, percdamp)
+    return factorize_hessian(hessian, percdamp, scale=hessian_scale)
+
+
+def _per_task(value, n_tasks: int, name: str) -> list:
+    """One entry per task: a scalar repeats, a sequence must match."""
+    if np.ndim(value) == 0:
+        return [value] * n_tasks
+    values = list(value)
+    if len(values) != n_tasks:
+        raise ValueError(
+            f"{name} holds {len(values)} entries for {n_tasks} tasks"
+        )
+    return values
 
 
 def _prepare(
     weight: np.ndarray,
-    hessian: np.ndarray,
-    bits: int,
+    hessian,
+    bits,
     group_size: int | None,
-    percdamp: float,
+    percdamp,
     cache: HessianFactorCache | None,
-    hessian_scale: float,
+    hessian_scale,
 ) -> tuple:
-    """Validate, factorize, and fit the static grids of one solve.
+    """Validate, factorize, and fit the static grids of a task stack.
 
-    Returns the float64 weight, the working copy a sweep compensates in
-    place (dead channels zeroed), the Hessian factor, the resolved group
-    size, and the static grids with their scale/zero arrays.
+    ``weight`` is ``(T, d_in, d_out)``; ``hessian`` holds one Hessian (or
+    settled :class:`HessianFactor`) per task, and ``bits``, ``percdamp``
+    and ``hessian_scale`` a scalar or one value per task.  Returns the
+    float64 weights, the working copy a sweep compensates in place (dead
+    channels zeroed), the stacked inverse Cholesky factors, the resolved
+    group size, each task's width, and each task's static grids with
+    their scale/zero arrays.
     """
     weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2:
-        raise ValueError("expected a 2-D weight matrix")
-    d_in, d_out = weight.shape
-    if hessian.shape != (d_in, d_in):
+    if weight.ndim != 3:
         raise ValueError(
-            f"hessian shape {hessian.shape} does not match d_in={d_in}"
+            "expected a 2-D weight matrix or a (tasks, d_in, d_out) stack"
         )
+    n_tasks, d_in, _ = weight.shape
+    if len(hessian) != n_tasks:
+        raise ValueError(
+            f"{len(hessian)} Hessians given for {n_tasks} weight matrices"
+        )
+    bits = _per_task(bits, n_tasks, "bits")
+    percdamp = _per_task(percdamp, n_tasks, "percdamp")
+    hessian_scale = _per_task(hessian_scale, n_tasks, "hessian_scale")
     group_size = resolve_group_size(d_in, group_size)
 
-    if cache is not None:
-        if hessian_scale != 1.0:
-            factor = cache.scaled_factor(hessian, hessian_scale, percdamp)
-        else:
-            factor = cache.factor(hessian, percdamp)
-    else:
-        factor = factorize_hessian(hessian, percdamp, scale=hessian_scale)
-
     working = weight.copy()
-    working[factor.dead, :] = 0.0
-    grids = _static_group_grids(working, group_size, bits)
-    return weight, working, factor, group_size, grids
+    inv_upper = np.empty((n_tasks, d_in, d_in))
+    grids = []
+    for task in range(n_tasks):
+        factor = _task_factor(
+            hessian[task], d_in, percdamp[task], cache, hessian_scale[task]
+        )
+        inv_upper[task] = factor.inv_upper
+        working[task, factor.dead] = 0.0
+        grids.append(_static_group_grids(working[task], group_size, bits[task]))
+    return weight, working, inv_upper, group_size, bits, grids
 
 
-def _solver_result(
+def _solver_results(
     weight: np.ndarray,
     group_size: int,
-    bits: int,
-    grids: tuple[list[QuantParams], np.ndarray, np.ndarray],
-    swept: tuple[np.ndarray, np.ndarray, float],
-) -> SolverResult:
-    """Assemble one sweep's output into a :class:`SolverResult`."""
-    quantized, codes, compensated_loss = swept
-    _, scales, zeros = grids
-    group_result = GroupQuantResult(
-        codes=codes,
-        scales=scales,
-        zeros=zeros,
-        bits=bits,
-        group_size=group_size,
-    )
-    mse = float(((weight - quantized) ** 2).mean())
-    return SolverResult(
-        quantized_weight=quantized,
-        group_result=group_result,
-        compensated_loss=compensated_loss,
-        mse=mse,
-    )
+    bits: list[int],
+    grids: list[tuple[list[QuantParams], np.ndarray, np.ndarray]],
+    swept: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[SolverResult]:
+    """Assemble a stacked sweep's output into one result per task."""
+    quantized, codes, losses = swept
+    results = []
+    for task, (_, scales, zeros) in enumerate(grids):
+        group_result = GroupQuantResult(
+            codes=codes[task],
+            scales=scales,
+            zeros=zeros,
+            bits=bits[task],
+            group_size=group_size,
+        )
+        mse = float(((weight[task] - quantized[task]) ** 2).mean())
+        results.append(
+            SolverResult(
+                quantized_weight=quantized[task],
+                group_result=group_result,
+                compensated_loss=float(losses[task]),
+                mse=mse,
+            )
+        )
+    return results
 
 
 def quantize_with_hessian(
     weight: np.ndarray,
-    hessian: np.ndarray,
-    bits: int,
+    hessian,
+    bits,
     group_size: int | None = None,
     blocksize: int = 128,
-    percdamp: float = 0.01,
+    percdamp=0.01,
     cache: HessianFactorCache | None = None,
-    hessian_scale: float = 1.0,
-) -> SolverResult:
+    hessian_scale=1.0,
+) -> SolverResult | list[SolverResult]:
     """Quantize ``weight`` with error compensation driven by ``hessian``.
 
     Parameters mirror GPTQ: ``group_size`` for the quantization grid
     granularity, ``blocksize`` for the lazy-batched update, ``percdamp`` for
     diagonal damping.  Channels are swept in their natural order, so the
     result's codes are row-aligned with ``weight``.  The sweep is the
-    lazy-batch blocked schedule, bit-identical to :func:`quantize_with_hessian_reference` (see
-    module docstring); ``cache`` reuses Cholesky factors across calls
-    sharing a Hessian.  ``hessian_scale`` quantizes against
-    ``hessian_scale · hessian`` without materialising the product (the
-    KronQ per-head Hessians are positive multiples of one shared input
-    Gram, so all heads reuse a single cached factorization).
+    lazy-batch blocked schedule, bit-identical to
+    :func:`quantize_with_hessian_reference` (see module docstring);
+    ``cache`` reuses Cholesky factors across calls sharing a Hessian.
+    ``hessian_scale`` quantizes against ``hessian_scale · hessian``
+    without materialising the product (the KronQ per-head Hessians are
+    positive multiples of one shared input Gram, so all heads reuse a
+    single cached factorization).
+
+    A ``(T, d_in, d_out)`` ``weight`` is a stack of ``T`` tasks swept
+    together: ``hessian`` then holds one ``(d_in, d_in)`` Hessian per
+    task, and ``bits``, ``percdamp`` and ``hessian_scale`` a scalar or one
+    value per task.  A task's Hessian may also be the
+    :class:`HessianFactor` already settled for it (the recovery ladder
+    passes its own), which is swept with as given.  The call returns one
+    :class:`SolverResult` per task, each bitwise the result of that task's
+    own 2-D call; a 2-D call is the one-task case and returns its result.
 
     Bits:
-        bits: i64[1, 32]
         group_size: i64[1, *]
         blocksize: i64[1, *]
         return: any
     """
     if blocksize <= 0:
         raise ValueError("blocksize must be positive")
-    weight, working, factor, group_size, grids = _prepare(
+    single = np.ndim(weight) == 2
+    if single:
+        weight = np.asarray(weight)[None]
+        hessian = [hessian]
+        bits, percdamp, hessian_scale = [bits], [percdamp], [hessian_scale]
+    weight, working, inv_upper, group_size, bits, grids = _prepare(
         weight, hessian, bits, group_size, percdamp, cache, hessian_scale
     )
     swept = _sweep_blocked(
-        working, factor.inv_upper, grids[0], group_size, blocksize
+        working,
+        inv_upper,
+        np.stack([scales for _, scales, _ in grids]),
+        np.stack([zeros for _, _, zeros in grids]),
+        np.array([[(1 << b) - 1] for b in bits]),
+        group_size,
+        blocksize,
     )
-    return _solver_result(weight, group_size, bits, grids, swept)
+    results = _solver_results(weight, group_size, bits, grids, swept)
+    return results[0] if single else results
 
 
 def quantize_with_hessian_reference(
@@ -488,8 +582,12 @@ def quantize_with_hessian_reference(
     cache: HessianFactorCache | None = None,
 ) -> SolverResult:
     """Column-at-a-time solver: the slow, obviously-correct specification."""
-    weight, working, factor, group_size, grids = _prepare(
-        weight, hessian, bits, group_size, percdamp, cache, 1.0
+    weight, working, inv_upper, group_size, bits, grids = _prepare(
+        np.asarray(weight)[None], [hessian], bits, group_size, percdamp,
+        cache, 1.0,
     )
-    swept = _sweep_reference(working, factor.inv_upper, grids[0], group_size)
-    return _solver_result(weight, group_size, bits, grids, swept)
+    quantized, codes, loss = _sweep_reference(
+        working[0], inv_upper[0], grids[0][0], group_size
+    )
+    swept = (quantized[None], codes[None], [loss])
+    return _solver_results(weight, group_size, bits, grids, swept)[0]

@@ -9,9 +9,9 @@ cost one attribute load on the hot path.
 
 Sites wired into the runtime:
 
-* ``"cholesky"`` — key is the layer name; fires a ``np.linalg.LinAlgError``
-  before each solver attempt in
-  :func:`repro.runtime.recovery.robust_quantize_layer`.
+* ``"cholesky"`` — key is the task's layer name; fires a
+  ``np.linalg.LinAlgError`` before each factorization attempt of the
+  recovery ladder (:func:`repro.runtime.recovery.run_solver_tasks`).
 * ``"block-start"`` — key is the block index (as a string); fires an
   :class:`~repro.runtime.errors.InjectedFault` when
   ``aptq_quantize_model`` starts that block, simulating a process crash

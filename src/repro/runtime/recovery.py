@@ -27,9 +27,10 @@ eventually; a disabled terminal rung turns exhaustion into
 
 A protocol stage of the APTQ pipeline (one block's attention
 projections and heads, its MLP, the tail layers) is a list of
-:class:`SolverTask` records; :func:`run_solver_tasks` solves them in
-order behind the ladder, so results and ladder events come back in task
-order.
+:class:`SolverTask` records.  Only the factorization can fail, so
+:func:`run_solver_tasks` first settles every task's factor behind the
+ladder, in task order, then sweeps each group of same-shaped tasks as
+one stack; results and ladder events come back in task order.
 
 This module and :mod:`repro.quant.solver` are the only places allowed to
 call ``np.linalg.cholesky`` / ``np.linalg.inv`` directly — the
@@ -49,7 +50,11 @@ from repro.runtime.errors import NumericalRecoveryError
 from repro.runtime.journal import RunJournal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.quant.solver import HessianFactorCache, SolverResult
+    from repro.quant.solver import (
+        HessianFactor,
+        HessianFactorCache,
+        SolverResult,
+    )
 
 __all__ = [
     "LADDER_RUNGS",
@@ -150,94 +155,27 @@ def robust_quantize_layer(
 ) -> "SolverResult":
     """:func:`quantize_with_hessian` behind the numerical recovery ladder.
 
-    On the happy path this is a zero-overhead pass-through returning the
-    solver's result unchanged.  Every ``np.linalg.LinAlgError`` escalates
-    one rung (see the module docstring) and records an event in
-    ``journal``; the ladder's output is always a usable
-    :class:`SolverResult` unless the terminal RTN rung is disabled.
-    ``cache`` memoizes Cholesky factors across calls sharing a Hessian
-    (forwarded to the solver).
+    On the happy path this returns the solver's result unchanged.  Every
+    ``np.linalg.LinAlgError`` escalates one rung (see the module
+    docstring) and records an event in ``journal``; the ladder's output
+    is always a usable :class:`SolverResult` unless the terminal RTN rung
+    is disabled.  ``cache`` memoizes Cholesky factors across calls
+    sharing a Hessian.  This is the one-task stage of
+    :func:`run_solver_tasks`.
     """
-    # Lazy for the same import-cycle reason as in _rtn_solver_result.
-    from repro.quant.solver import quantize_with_hessian
-
-    policy = policy or RecoveryPolicy()
-    journal = journal if journal is not None else RunJournal()
-
-    def attempt(matrix: np.ndarray, damp: float) -> "SolverResult":
-        faults.maybe_fault("cholesky", layer)
-        return quantize_with_hessian(
-            weight,
-            matrix,
-            bits=bits,
-            group_size=group_size,
-            percdamp=damp,
-            cache=cache,
-            hessian_scale=hessian_scale,
-        )
-
-    last_error: Exception | None = None
-
-    # Rung 1: plain retries at the requested damping.
-    for attempt_index in range(1 + policy.retries):
-        try:
-            return attempt(hessian, percdamp)
-        except np.linalg.LinAlgError as error:
-            last_error = error
-            if attempt_index < policy.retries:
-                journal.record(
-                    "retry",
-                    layer=layer,
-                    message=f"Cholesky failed ({error}); retrying at "
-                    f"percdamp={percdamp:g}",
-                    attempt=attempt_index + 1,
-                    percdamp=percdamp,
-                )
-
-    # Rung 2: geometric damping escalation up to the cap.
-    for damp in policy.escalation_schedule(percdamp):
-        journal.record(
-            "damp-escalation",
-            layer=layer,
-            message=f"Cholesky failed ({last_error}); escalating damping to "
-            f"percdamp={damp:g}",
-            percdamp=damp,
-        )
-        try:
-            return attempt(hessian, damp)
-        except np.linalg.LinAlgError as error:
-            last_error = error
-
-    # Rung 3: eigenvalue clipping.
-    journal.record(
-        "eigenvalue-clip",
-        layer=layer,
-        message=f"damping exhausted ({last_error}); clipping Hessian "
-        f"spectrum at {policy.eig_floor_scale:g} of the top eigenvalue",
-        eig_floor_scale=policy.eig_floor_scale,
-    )
-    try:
-        return attempt(
-            clip_hessian_eigenvalues(hessian, policy.eig_floor_scale),
-            percdamp,
-        )
-    except np.linalg.LinAlgError as error:
-        last_error = error
-
-    # Rung 4: Hessian-free RTN.
-    if not policy.allow_rtn_fallback:
-        raise NumericalRecoveryError(
-            f"recovery ladder exhausted for layer {layer or '<unnamed>'}: "
-            f"{last_error}"
-        ) from last_error
-    journal.record(
-        "rtn-fallback",
-        layer=layer,
-        message=f"eigenvalue clip failed ({last_error}); quantizing with "
-        "plain RTN (no error compensation)",
+    task = SolverTask(
+        key=layer,
+        weight=weight,
+        hessian=hessian,
         bits=bits,
+        group_size=group_size,
+        percdamp=percdamp,
+        hessian_scale=hessian_scale,
     )
-    return _rtn_solver_result(weight, bits, group_size)
+    (result,) = run_solver_tasks(
+        [task], policy=policy, journal=journal, cache=cache
+    )
+    return result
 
 
 @dataclasses.dataclass
@@ -260,6 +198,88 @@ class SolverTask:
     hessian_scale: float = 1.0
 
 
+def _settle_factor(
+    task: SolverTask,
+    policy: RecoveryPolicy,
+    journal: RunJournal,
+    cache: "HessianFactorCache",
+) -> "HessianFactor | None":
+    """Climb the ladder until the task's Hessian factorizes.
+
+    Only the factorization raises ``LinAlgError``, so every rung is an
+    attempt at the factor; the sweep runs afterwards, once.  Returns the
+    factor, or ``None`` when the task falls to the RTN rung.
+    """
+
+    def attempt(matrix: np.ndarray, damp: float) -> "HessianFactor":
+        faults.maybe_fault("cholesky", task.key)
+        return cache.scaled_factor(matrix, task.hessian_scale, damp)
+
+    percdamp = task.percdamp
+    last_error: Exception | None = None
+
+    # Rung 1: plain retries at the requested damping.
+    for attempt_index in range(1 + policy.retries):
+        try:
+            return attempt(task.hessian, percdamp)
+        except np.linalg.LinAlgError as error:
+            last_error = error
+            if attempt_index < policy.retries:
+                journal.record(
+                    "retry",
+                    layer=task.key,
+                    message=f"Cholesky failed ({error}); retrying at "
+                    f"percdamp={percdamp:g}",
+                    attempt=attempt_index + 1,
+                    percdamp=percdamp,
+                )
+
+    # Rung 2: geometric damping escalation up to the cap.
+    for damp in policy.escalation_schedule(percdamp):
+        journal.record(
+            "damp-escalation",
+            layer=task.key,
+            message=f"Cholesky failed ({last_error}); escalating damping to "
+            f"percdamp={damp:g}",
+            percdamp=damp,
+        )
+        try:
+            return attempt(task.hessian, damp)
+        except np.linalg.LinAlgError as error:
+            last_error = error
+
+    # Rung 3: eigenvalue clipping.
+    journal.record(
+        "eigenvalue-clip",
+        layer=task.key,
+        message=f"damping exhausted ({last_error}); clipping Hessian "
+        f"spectrum at {policy.eig_floor_scale:g} of the top eigenvalue",
+        eig_floor_scale=policy.eig_floor_scale,
+    )
+    try:
+        return attempt(
+            clip_hessian_eigenvalues(task.hessian, policy.eig_floor_scale),
+            percdamp,
+        )
+    except np.linalg.LinAlgError as error:
+        last_error = error
+
+    # Rung 4: Hessian-free RTN.
+    if not policy.allow_rtn_fallback:
+        raise NumericalRecoveryError(
+            f"recovery ladder exhausted for layer {task.key or '<unnamed>'}: "
+            f"{last_error}"
+        ) from last_error
+    journal.record(
+        "rtn-fallback",
+        layer=task.key,
+        message=f"eigenvalue clip failed ({last_error}); quantizing with "
+        "plain RTN (no error compensation)",
+        bits=task.bits,
+    )
+    return None
+
+
 def run_solver_tasks(
     tasks: Sequence[SolverTask],
     *,
@@ -267,26 +287,47 @@ def run_solver_tasks(
     journal: Optional[RunJournal] = None,
     cache: Optional["HessianFactorCache"] = None,
 ) -> list["SolverResult"]:
-    """Solve ``tasks`` in order behind the ladder; results in task order.
+    """Solve ``tasks`` behind the ladder; results in task order.
 
-    Ladder events land in ``journal`` in task order; ``cache`` reuses
-    Cholesky factors across tasks that share a Hessian.
+    First every task's factor is settled through the ladder, in task
+    order, so ladder events land in ``journal`` in task order; ``cache``
+    (a stage-local one when ``None``) reuses Cholesky factors across
+    tasks that share a Hessian.  Then the tasks that kept a factor are
+    swept with one :func:`~repro.quant.solver.quantize_with_hessian` call
+    per ``(d_in, d_out, group_size)`` group, and the rest fall back to
+    RTN.  Each result is bitwise what the task's own
+    :func:`robust_quantize_layer` call returns.
     """
-    return [
-        robust_quantize_layer(
-            task.weight,
-            task.hessian,
-            bits=task.bits,
-            group_size=task.group_size,
-            percdamp=task.percdamp,
-            policy=policy,
-            journal=journal,
-            layer=task.key,
-            cache=cache,
-            hessian_scale=task.hessian_scale,
+    # Lazy for the same import-cycle reason as in _rtn_solver_result; the
+    # solver entry point is looked up at call time, so a wrapper installed
+    # on the module sees every sweep.
+    from repro.quant import solver
+
+    policy = policy or RecoveryPolicy()
+    journal = journal if journal is not None else RunJournal()
+    cache = cache if cache is not None else solver.HessianFactorCache()
+    factors = [_settle_factor(task, policy, journal, cache) for task in tasks]
+
+    results: list = [None] * len(tasks)
+    groups: dict[tuple, list[int]] = {}
+    for index, (task, factor) in enumerate(zip(tasks, factors)):
+        if factor is None:
+            results[index] = _rtn_solver_result(
+                task.weight, task.bits, task.group_size
+            )
+        else:
+            key = (*np.shape(task.weight), task.group_size)
+            groups.setdefault(key, []).append(index)
+    for indices in groups.values():
+        stacked = solver.quantize_with_hessian(
+            np.stack([tasks[i].weight for i in indices]),
+            [factors[i] for i in indices],
+            bits=[tasks[i].bits for i in indices],
+            group_size=tasks[indices[0]].group_size,
         )
-        for task in tasks
-    ]
+        for index, result in zip(indices, stacked):
+            results[index] = result
+    return results
 
 
 def hessian_inverse(

@@ -71,31 +71,37 @@ class TestAPTQRun:
         assert np.all(np.isfinite(logits))
 
 
+@pytest.fixture
+def forward_counts(monkeypatch):
+    """Count full-model forwards and streamed block captures."""
+    from repro.core.hessian import CalibrationCaptureStream
+    from repro.nn.transformer import LlamaModel
+
+    counts = {"forward": 0, "captures": 0}
+    forward = LlamaModel.forward_array
+    block_captures = CalibrationCaptureStream.block_captures
+
+    def spy_forward(self, ids):
+        counts["forward"] += 1
+        return forward(self, ids)
+
+    def spy_captures(self, block_index):
+        counts["captures"] += 1
+        return block_captures(self, block_index)
+
+    monkeypatch.setattr(LlamaModel, "forward_array", spy_forward)
+    monkeypatch.setattr(
+        CalibrationCaptureStream, "block_captures", spy_captures
+    )
+    return counts
+
+
 class TestForwardCounts:
     """The block loop forwards single blocks, never the whole model."""
 
     def test_one_full_model_forward_and_streamed_captures(
-        self, micro_model, calibration, monkeypatch
+        self, micro_model, calibration, forward_counts
     ):
-        from repro.core.hessian import CalibrationCaptureStream
-        from repro.nn.transformer import LlamaModel
-
-        counts = {"forward": 0, "captures": 0}
-        forward = LlamaModel.forward_array
-        block_captures = CalibrationCaptureStream.block_captures
-
-        def spy_forward(self, ids):
-            counts["forward"] += 1
-            return forward(self, ids)
-
-        def spy_captures(self, block_index):
-            counts["captures"] += 1
-            return block_captures(self, block_index)
-
-        monkeypatch.setattr(LlamaModel, "forward_array", spy_forward)
-        monkeypatch.setattr(
-            CalibrationCaptureStream, "block_captures", spy_captures
-        )
         # 16 calibration segments at the default batch size: one batch.
         aptq_quantize_model(
             micro_model,
@@ -104,10 +110,37 @@ class TestForwardCounts:
         )
         n_blocks = len(micro_model.blocks)
         # The sensitivity pass's FFN statistics, and nothing per block.
-        assert counts["forward"] == 1
+        assert forward_counts["forward"] == 1
         # Every block once for the sensitivity pass; the sequential pass
         # reuses block 0's Hessians and captures the rest.
-        assert counts["captures"] == 2 * n_blocks - 1
+        assert forward_counts["captures"] == 2 * n_blocks - 1
+
+    @pytest.mark.parametrize("hessian_mode", ["probed", "kron"])
+    def test_override_run_skips_the_sensitivity_pass(
+        self, micro_model, calibration, forward_counts, no_sensitivity_pass,
+        hessian_mode,
+    ):
+        # A fixed allocation needs no Hessian traces: every block is
+        # captured once, by the block loop, and the model is never
+        # forwarded whole.
+        result = aptq_quantize_model(
+            micro_model,
+            calibration,
+            APTQConfig(
+                group_size=8,
+                n_probes=2,
+                hessian_mode=hessian_mode,
+                allocation_override=manual_blockwise_allocation(
+                    micro_model, 0.5
+                ),
+            ),
+        )
+        assert forward_counts["forward"] == 0
+        assert forward_counts["captures"] == len(micro_model.blocks)
+        assert result.sensitivities == {}
+        assert set(result.layer_results) == set(
+            micro_model.quantizable_linears()
+        )
 
 
 class TestAPTQConfigs:
@@ -127,6 +160,41 @@ class TestAPTQConfigs:
             APTQConfig(group_size=8, n_probes=2, allocation_override=override),
         )
         assert result.allocation == override
+
+    @pytest.mark.parametrize("hessian_mode", ["probed", "kron"])
+    def test_override_of_the_chosen_allocation_reproduces_the_run(
+        self, trained_micro_model, calibration, hessian_mode
+    ):
+        config = APTQConfig(
+            ratio_4bit=0.75, group_size=8, n_probes=2,
+            hessian_mode=hessian_mode,
+        )
+        ranked_model = clone(trained_micro_model)
+        ranked = aptq_quantize_model(ranked_model, calibration, config)
+        fixed_model = clone(trained_micro_model)
+        fixed = aptq_quantize_model(
+            fixed_model, calibration, config,
+            allocation_override=ranked.allocation,
+        )
+        assert ranked.sensitivities and fixed.sensitivities == {}
+        assert fixed.allocation == ranked.allocation
+        assert fixed.average_bits == ranked.average_bits
+        state = fixed_model.state_dict()
+        for name, array in ranked_model.state_dict().items():
+            assert state[name].tobytes() == array.tobytes(), name
+        assert list(fixed.layer_results) == list(ranked.layer_results)
+        for name, want in ranked.layer_results.items():
+            got = fixed.layer_results[name]
+            for field in ("codes", "scales", "zeros"):
+                assert np.array_equal(
+                    getattr(got.group_result, field),
+                    getattr(want.group_result, field),
+                ), (name, field)
+            assert got.quantized_weight.tobytes() == (
+                want.quantized_weight.tobytes()
+            ), name
+            assert got.compensated_loss == want.compensated_loss, name
+            assert got.mse == want.mse, name
 
     def test_incomplete_override_rejected(self, trained_micro_model, calibration):
         model = clone(trained_micro_model)

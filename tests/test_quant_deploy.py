@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.aptq import APTQConfig, aptq_quantize_model
 from repro.eval.perplexity import perplexity
-from repro.nn.serialize import save_arrays
+from repro.nn.serialize import load_arrays, save_arrays
 from repro.quant.deploy import PackedModel, pack_model
 from repro.quant.formats import FormatLinear
 from repro.runtime.errors import CheckpointError
@@ -173,6 +173,50 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="only int<k> layers") as excinfo:
             PackedModel.load(path)
         assert name in str(excinfo.value) and "'nf4'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["config", "layers"])
+    def test_header_missing_field_raises(self, field, packed_setup, tmp_path):
+        _, _, packed = packed_setup
+        path = packed.save(tmp_path / "model.npz")
+        raw, header = load_arrays(path)
+        del header[field]
+        save_arrays(path, raw, header)
+        with pytest.raises(ValueError, match=f"lacks '{field}'"):
+            PackedModel.load(path)
+
+    @pytest.mark.parametrize("case", ["empty", "one-missing", "foreign"])
+    def test_layers_must_name_the_configs_quantizable_layers(
+        self, case, packed_setup, tmp_path
+    ):
+        # Without the check an archive with no packed layers loads, and
+        # its to_model() is a random init.
+        _, _, packed = packed_setup
+        path = packed.save(tmp_path / "model.npz")
+        raw, header = load_arrays(path)
+        if case == "empty":
+            raw, header = {}, {"config": {"vocab_size": 8}, "layers": {}}
+        elif case == "one-missing":
+            header["layers"].pop("blocks.0.mlp.up_proj")
+        else:
+            header["layers"]["blocks.9.mlp.up_proj"] = header["layers"][
+                "blocks.0.mlp.up_proj"
+            ]
+        save_arrays(path, raw, header)
+        with pytest.raises(ValueError, match="'layers' must name exactly"):
+            PackedModel.load(path)
+
+    @pytest.mark.parametrize("grid", ["scales", "zeros"])
+    def test_non_finite_grid_raises(self, grid, packed_setup, tmp_path):
+        _, _, packed = packed_setup
+        path = packed.save(tmp_path / "model.npz")
+        raw, header = load_arrays(path)
+        key = f"packed/blocks.1.self_attn.k_proj/{grid}"
+        raw[key] = raw[key].copy()
+        raw[key][0, 0] = np.inf
+        save_arrays(path, raw, header)
+        with pytest.raises(ValueError, match=f"non-finite {grid}") as excinfo:
+            PackedModel.load(path)
+        assert "blocks.1.self_attn.k_proj" in str(excinfo.value)
 
     def test_non_object_header_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "foreign.npz"

@@ -23,7 +23,11 @@ from repro.eval.perplexity import perplexity
 from repro.nn.transformer import LlamaConfig, LlamaModel
 from repro.quant.deploy import PackedModel, pack_model
 from repro.quant.formats import FormatLinear, IntFormat
-from repro.quant.groupwise import group_of_row, quantize_groupwise
+from repro.quant.groupwise import (
+    GroupQuantResult,
+    group_of_row,
+    quantize_groupwise,
+)
 
 #: (shape, group_size) geometries: dividing, whole-matrix, single-element
 #: groups, and a non-dividing remainder group.
@@ -196,3 +200,32 @@ class TestDeployErrors:
         model = LlamaModel(config, seed=13)
         with pytest.raises(ValueError, match="no bit allocation for layer"):
             pack_model(model, {"not.a.layer": 4})
+
+
+class TestFp16GridRange:
+    """Grids are stored fp16: a scale or zero fp16 cannot hold raises,
+    naming the largest offender, before anything is packed."""
+
+    def test_scale_beyond_fp16_raises_naming_it(self):
+        weight = np.random.default_rng(0).normal(size=(12, 4)) * 1e6
+        worst = quantize_groupwise(weight, 4, 4).scales.max()
+        assert worst > np.finfo(np.float16).max
+        with pytest.raises(ValueError, match="fp16") as excinfo:
+            IntFormat(4).encode(weight, 4)
+        assert f"scale {worst:g}" in str(excinfo.value)
+        with pytest.raises(ValueError, match="fp16"):
+            FormatLinear.from_weight(weight, 4, 4)
+
+    def test_zero_beyond_fp16_raises_naming_it(self):
+        # A 16-bit grid anchored at its top code: zero 65535 rounds to
+        # inf in fp16.
+        result = GroupQuantResult(
+            codes=np.zeros((4, 2), dtype=np.int64),
+            scales=np.ones((1, 2)),
+            zeros=np.array([[65535.0, 3.0]]),
+            bits=16,
+            group_size=4,
+        )
+        with pytest.raises(ValueError, match="zero 65535"):
+            IntFormat(16).from_group_result(result)
+

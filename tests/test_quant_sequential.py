@@ -4,7 +4,8 @@ The oracle is the former per-block loop: one full-model
 ``collect_input_stats`` forward per block group, each group quantized
 before the next is measured.  :func:`sequential_input_stats` must give
 every method the same weights and results bit for bit, with at most
-``2·L − 1`` block forwards per calibration batch on a tied model.
+``2·L − 1`` block forwards per calibration batch on a tied model and
+``2·L`` on an untied one, whose ``lm_head`` input comes from the stream.
 """
 
 import dataclasses
@@ -160,30 +161,48 @@ class TestMatchesPerBlockOracle:
                     linear.weight.data = np.round(linear.weight.data, 1)
 
 
+def count_forwards(monkeypatch) -> dict[str, int]:
+    """Count block and full-model forwards from here on."""
+    counts = {"block": 0, "model": 0}
+    block_forward = TransformerBlock.forward_array
+    model_forward = LlamaModel.forward_array
+
+    def spy_block(self, *args, **kwargs):
+        counts["block"] += 1
+        return block_forward(self, *args, **kwargs)
+
+    def spy_model(self, *args, **kwargs):
+        counts["model"] += 1
+        return model_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerBlock, "forward_array", spy_block)
+    monkeypatch.setattr(LlamaModel, "forward_array", spy_model)
+    return counts
+
+
 class TestForwardCount:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_tied_model_runs_each_block_at_most_twice(
         self, monkeypatch, calibration, method
     ):
-        counts = {"block": 0, "model": 0}
-        block_forward = TransformerBlock.forward_array
-        model_forward = LlamaModel.forward_array
-
-        def spy_block(self, *args, **kwargs):
-            counts["block"] += 1
-            return block_forward(self, *args, **kwargs)
-
-        def spy_model(self, *args, **kwargs):
-            counts["model"] += 1
-            return model_forward(self, *args, **kwargs)
-
-        monkeypatch.setattr(TransformerBlock, "forward_array", spy_block)
-        monkeypatch.setattr(LlamaModel, "forward_array", spy_model)
+        counts = count_forwards(monkeypatch)
         METHODS[method][1](LlamaModel(TIED, seed=0), calibration, 8)
         # Block i is measured once and re-run once with its quantized
         # weights to feed block i+1; the last block is never re-run.
         n_blocks = TIED.n_layers
         assert counts["block"] <= (2 * n_blocks - 1) * N_BATCHES
+        assert counts["model"] == 0
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_untied_head_is_measured_from_the_stream(
+        self, monkeypatch, calibration, method
+    ):
+        counts = count_forwards(monkeypatch)
+        METHODS[method][1](LlamaModel(UNTIED, seed=0), calibration, 8)
+        # The head's input is the last block's output: one more block
+        # forward per batch, and no full-model re-forward from the
+        # embedding.
+        assert counts["block"] == 2 * UNTIED.n_layers * N_BATCHES
         assert counts["model"] == 0
 
 

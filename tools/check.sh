@@ -17,12 +17,14 @@ python -m pytest -x -q tests/test_runtime_recovery.py \
 
 # test_data_streams.py pins the seeded corpus, calibration and task
 # streams every golden is computed from; test_quant_sequential.py pins
-# the GPTQ-family stream against the per-block full-model forward.
+# the GPTQ-family stream against the per-block full-model forward;
+# test_quant_stacked_solver.py pins each stacked solver task against its
+# own one-task solve.
 echo "== differential + bench smoke (perf engine bit-identity) =="
 python -m pytest -x -q tests/test_quant_differential.py \
     tests/test_quant_golden.py tests/test_bench_schema.py \
     tests/test_data_streams.py tests/test_core_working_set.py \
-    tests/test_quant_sequential.py
+    tests/test_quant_sequential.py tests/test_quant_stacked_solver.py
 
 echo "== format conformance (int-k storage: round trip, pack, goldens) =="
 python -m pytest -x -q tests/test_quant_formats.py \
